@@ -15,7 +15,7 @@ use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::MethodId;
 use aqua_core::time::Duration;
 use aqua_replica::ServiceTimeModel;
-use aqua_runtime::{AquaClient, AquaClientConfig, ReplicaServer, ReplicaServerConfig};
+use aqua_runtime::{MuxPool, MuxPoolConfig, ReplicaServer, ReplicaServerConfig};
 use aqua_strategies::ModelBased;
 
 fn ms(v: u64) -> Duration {
@@ -31,12 +31,12 @@ fn run_cell(
     cell: u64,
 ) -> (f64, f64) {
     let replicas: Vec<_> = servers.iter().map(|s| (s.replica(), s.addr())).collect();
-    let mut config = AquaClientConfig::new(QosSpec::new(ms(deadline_ms), pc).expect("valid"));
+    let mut config = MuxPoolConfig::new(QosSpec::new(ms(deadline_ms), pc).expect("valid"));
     config.give_up_after = ms(2_000);
     config.obs = obs.cloned();
     config.id = cell;
-    let client = AquaClient::connect(&replicas, config, Box::new(ModelBased::default()))
-        .expect("connect to local replicas");
+    let pool = MuxPool::connect(&replicas, config).expect("connect to local replicas");
+    let client = pool.handle(Box::new(ModelBased::default()));
     let mut failures = 0u32;
     let mut redundancy_sum = 0usize;
     for _ in 0..requests {

@@ -1,5 +1,5 @@
 //! Multi-threaded throughput A/B of the gateway hot path: the concurrent
-//! snapshot/shard architecture ([`ConcurrentHandler`] / [`AquaClient`])
+//! snapshot/shard architecture ([`ConcurrentHandler`] / [`MuxHandle`])
 //! against the retained single-lock baseline ([`TimingFaultHandler`]
 //! behind one mutex / [`SerializedClient`]), on identical workloads.
 //!
@@ -21,7 +21,7 @@
 //!   serialization points (lock + dispatcher hop) dominate this path.
 //!
 //! * **`socket` mode (supplementary)** drives the full TCP runtime —
-//!   [`SerializedClient`] vs [`AquaClient`] against real replica servers
+//!   [`SerializedClient`] vs a one-handle [`MuxPool`] against real replica servers
 //!   on loopback. Reported in the JSON for end-to-end context, but not
 //!   gated: on loopback both paths spend most of each call in kernel
 //!   round trips they share, so the curve compresses toward 1× on small
@@ -69,8 +69,8 @@ use aqua_gateway::{ConcurrentHandler, ReplyOutcome, TimingFaultHandler};
 use aqua_obs::contention::LockContention;
 use aqua_obs::json::JsonValue;
 use aqua_runtime::{
-    AquaClient, AquaClientConfig, CallError, CallOutcome, MuxPool, MuxPoolConfig, ReplicaServer,
-    ReplicaServerConfig, SerializedClient, ThreadedClient,
+    CallError, CallOutcome, MuxHandle, MuxPool, MuxPoolConfig, ReplicaServer, ReplicaServerConfig,
+    SerializedClient, ThreadedClient,
 };
 use aqua_strategies::{ModelBased, StaticK};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -90,7 +90,7 @@ const CHECK_TRACE_RETENTION: f64 = 0.90;
 const TRACE_PROBE_N: usize = 4;
 
 const REPLICAS: u64 = 3;
-/// Sliding-window size `l` (paper default, same as `AquaClientConfig`).
+/// Sliding-window size `l` (paper default, same as `MuxPoolConfig`).
 const WINDOW: usize = 5;
 
 /// e2e mode: replica count (one socket per replica on the mux path).
@@ -403,8 +403,8 @@ fn replicas_of(servers: &[ReplicaServer]) -> Vec<(ReplicaId, SocketAddr)> {
     servers.iter().map(|s| (s.replica(), s.addr())).collect()
 }
 
-fn client_config(obs: Option<aqua_obs::Obs>) -> AquaClientConfig {
-    let mut config = AquaClientConfig::new(qos());
+fn client_config(obs: Option<aqua_obs::Obs>) -> MuxPoolConfig {
+    let mut config = MuxPoolConfig::new(qos());
     config.give_up_after = Duration::from_secs(5);
     config.obs = obs;
     config
@@ -427,14 +427,16 @@ fn run_socket_serialized(threads: usize, duration: StdDuration) -> Cell {
     })
 }
 
+/// A one-handle pool: the socket client a single logical caller uses.
+fn socket_client(servers: &[ReplicaServer], obs: Option<aqua_obs::Obs>) -> (MuxPool, MuxHandle) {
+    let pool = MuxPool::connect(&replicas_of(servers), client_config(obs)).expect("connect pool");
+    let handle = pool.handle(Box::new(ModelBased::default()));
+    (pool, handle)
+}
+
 fn run_socket_concurrent(threads: usize, duration: StdDuration) -> Cell {
     let servers = spawn_servers();
-    let client = AquaClient::connect(
-        &replicas_of(&servers),
-        client_config(None),
-        Box::new(ModelBased::default()),
-    )
-    .expect("connect concurrent");
+    let (_pool, client) = socket_client(&servers, None);
     drive("socket", "concurrent", threads, duration, |p| {
         expect_call(client.call(MethodId::DEFAULT, p));
     })
@@ -551,12 +553,10 @@ fn run_e2e_threaded(logical: usize, duration: StdDuration) -> E2eCell {
 fn run_e2e_mux(logical: usize, duration: StdDuration) -> E2eCell {
     let servers = e2e_servers();
     let obs = aqua_obs::Obs::metrics_only();
-    let mut config = MuxPoolConfig::new(qos());
-    config.give_up_after = Duration::from_secs(5);
     // Only the mux cell carries obs: the syscall counters it pays for
     // are what prove the batching claim, and the cost lands on the path
     // being gated, not the baseline.
-    config.obs = Some(obs.clone());
+    let config = client_config(Some(obs.clone()));
     let pool = MuxPool::connect(&replicas_of(&servers), config).expect("connect mux pool");
     let handles: Vec<_> = (0..logical)
         .map(|_| pool.handle(Box::new(StaticK { k: E2E_FANOUT })))
@@ -615,12 +615,7 @@ fn run_socket_trace_cell(
     obs: Option<aqua_obs::Obs>,
 ) -> Cell {
     let servers = spawn_servers_with(TRACE_PROBE_SERVICE_MS);
-    let client = AquaClient::connect(
-        &replicas_of(&servers),
-        client_config(obs),
-        Box::new(ModelBased::default()),
-    )
-    .expect("connect trace probe");
+    let (_pool, client) = socket_client(&servers, obs);
     drive("socket", path, threads, duration, |p| {
         expect_call(client.call(MethodId::DEFAULT, p));
     })

@@ -36,11 +36,14 @@
 //!   are the buggy variants (leaked pending entry, double delivery).
 //! * [`reactor_wake_model`] — the socket runtime's self-pipe wake path:
 //!   submitters coalesce pokes through the `wake_pending` flag (only the
-//!   0→1 `swap` writes the wake byte), and the reactor loop drains the
-//!   pipe, clears the flag, and *then* harvests outboxes. Clearing before
-//!   harvesting is load-bearing: [`reactor_lost_wakeup_model`] flips the
-//!   two and exhibits the lost wakeup (dirty outbox, empty pipe, reactor
-//!   parked forever) the shipped order prevents.
+//!   0→1 `swap` writes a wake byte, and the pipe holds a byte count), and
+//!   the reactor loop polls, drains the pipe, clears the flag, and *then*
+//!   harvests outboxes, each a separate step; every sender sends twice.
+//!   Draining before clearing is load-bearing:
+//!   [`reactor_lost_wakeup_model`] clears first, the order the loop once
+//!   shipped, and exhibits the lost wakeup (a swallowed byte leaves the
+//!   flag set over an empty pipe, so the second sends sit in dirty
+//!   outboxes with the reactor parked).
 //! * [`mux_reply_model`] — the multiplexed client's reply routing: wire
 //!   sequence numbers carry the logical handle in the top 24 bits and a
 //!   handle-local seq in the low 40 (`mux.rs`), so the router can
@@ -986,16 +989,17 @@ pub fn pending_retry_toctou_model() -> Model<PendingState> {
 /// Shadow of the reactor's wake path (`reactor.rs`): submitters enqueue
 /// into per-connection outboxes and poke the self-pipe, coalescing pokes
 /// through `wake_pending` (`swap(true, AcqRel)` — only the 0→1 transition
-/// writes the wake byte). The loop drains the pipe, clears the flag, then
-/// harvests. An enqueue whose poke was coalesced away (flag already set)
-/// is covered either by the harvest that follows the clear, or — if it
-/// lands after that harvest — by its own poke, which now sees the cleared
-/// flag and writes the byte for the *next* poll round.
+/// writes a wake byte). Each loop round polls, and on a wake drains every
+/// pipe byte, clears the flag, then harvests, as four separate steps. A
+/// poke coalesced away (flag already set) is covered by the harvest that
+/// follows the clear; a poke after the clear writes a byte the drain can
+/// no longer swallow, so the *next* poll round sees it. Each sender sends
+/// twice, so a flag left set over an empty pipe strands the second send.
 #[derive(Clone)]
 pub struct WakeState {
     /// The wake-coalescing flag (`Reactor::wake_pending`).
     wake_pending: ShadowAtomicU64,
-    /// Bytes readable from the self-pipe (poll readiness).
+    /// Bytes readable from the self-pipe (poll readiness while non-zero).
     pipe: ShadowAtomicU64,
     /// Enqueued-but-unharvested submissions across all outboxes.
     dirty: ShadowAtomicU64,
@@ -1007,7 +1011,7 @@ pub struct WakeState {
     done: [bool; 3],
 }
 
-fn wake_model_with(clear_before_harvest: bool, name: &'static str) -> Model<WakeState> {
+fn wake_model_with(drain_before_clear: bool, name: &'static str) -> Model<WakeState> {
     fn init() -> WakeState {
         WakeState {
             wake_pending: ShadowAtomicU64::new(0),
@@ -1018,12 +1022,20 @@ fn wake_model_with(clear_before_harvest: bool, name: &'static str) -> Model<Wake
             done: [false, false, false],
         }
     }
-    fn always(_: &WakeState, _: usize) -> bool {
-        true
+    fn step(name: &'static str, run: fn(&mut WakeState, usize)) -> Step<WakeState> {
+        fn always(_: &WakeState, _: usize) -> bool {
+            true
+        }
+        Step {
+            name,
+            enabled: always,
+            run,
+        }
     }
     fn invariant(s: &WakeState) -> Result<(), String> {
         // Once every thread has parked, unharvested work must have a wake
-        // byte pending — otherwise the reactor sleeps on it forever.
+        // byte pending — otherwise the reactor sleeps on it until the
+        // poll timeout.
         if s.done[0] && s.done[1] && s.done[2] && s.dirty.load() > 0 && s.pipe.load() == 0 {
             return Err(format!(
                 "lost wakeup: {} dirty item(s) with an empty self-pipe; the parked reactor never flushes them",
@@ -1032,33 +1044,33 @@ fn wake_model_with(clear_before_harvest: bool, name: &'static str) -> Model<Wake
         }
         Ok(())
     }
+    fn enqueue(s: &mut WakeState, _: usize) {
+        s.dirty.fetch_add(1);
+    }
+    fn wake(s: &mut WakeState, _: usize) {
+        // `wake_pending.swap(true, AcqRel)` — one indivisible RMW; only
+        // the 0→1 edge writes a pipe byte.
+        let prev = s.wake_pending.load();
+        s.wake_pending.store(1);
+        if prev == 0 {
+            s.pipe.fetch_add(1);
+        }
+    }
     fn sender() -> Vec<Step<WakeState>> {
         vec![
-            Step {
-                name: "send.enqueue",
-                enabled: always,
-                run: |s, _| {
-                    s.dirty.fetch_add(1);
-                },
-            },
-            Step {
-                name: "send.wake",
-                enabled: always,
-                run: |s, tid| {
-                    // `wake_pending.swap(true, AcqRel)` — one indivisible
-                    // RMW; only the 0→1 edge writes the pipe byte.
-                    let prev = s.wake_pending.load();
-                    s.wake_pending.store(1);
-                    if prev == 0 {
-                        s.pipe.fetch_add(1);
-                    }
-                    s.done[tid] = true;
-                },
-            },
+            step("send.enqueue", enqueue),
+            step("send.wake", wake),
+            step("send.enqueue", enqueue),
+            step("send.wake", |s, tid| {
+                wake(s, tid);
+                s.done[tid] = true;
+            }),
         ]
     }
     fn poll(s: &mut WakeState, _: usize) {
         s.woke = s.pipe.load() > 0;
+    }
+    fn drain(s: &mut WakeState, _: usize) {
         if s.woke {
             s.pipe.store(0);
         }
@@ -1076,46 +1088,23 @@ fn wake_model_with(clear_before_harvest: bool, name: &'static str) -> Model<Wake
         }
     }
 
-    // Two poll rounds, then park. The shipped order clears the flag before
-    // harvesting; the buggy variant harvests first, opening the window
-    // where an enqueue slips in between harvest and clear and its poke is
-    // coalesced into a round that has already drained.
+    // Two poll rounds, then park. The shipped order drains before it
+    // clears; the buggy variant clears first, so a poke landing between
+    // the clear and the drain has its byte swallowed and leaves the flag
+    // set over an empty pipe — every later poke is coalesced away.
     let mut reactor: Vec<Step<WakeState>> = Vec::new();
     for _ in 0..2 {
-        reactor.push(Step {
-            name: "loop.poll+drain",
-            enabled: always,
-            run: poll,
-        });
-        if clear_before_harvest {
-            reactor.push(Step {
-                name: "loop.clear_flag",
-                enabled: always,
-                run: clear,
-            });
-            reactor.push(Step {
-                name: "loop.harvest+flush",
-                enabled: always,
-                run: harvest,
-            });
+        reactor.push(step("loop.poll", poll));
+        if drain_before_clear {
+            reactor.push(step("loop.drain", drain));
+            reactor.push(step("loop.clear_flag", clear));
         } else {
-            reactor.push(Step {
-                name: "loop.harvest+flush",
-                enabled: always,
-                run: harvest,
-            });
-            reactor.push(Step {
-                name: "loop.clear_flag",
-                enabled: always,
-                run: clear,
-            });
+            reactor.push(step("loop.clear_flag", clear));
+            reactor.push(step("loop.drain", drain));
         }
+        reactor.push(step("loop.harvest+flush", harvest));
     }
-    reactor.push(Step {
-        name: "loop.park",
-        enabled: always,
-        run: |s, tid| s.done[tid] = true,
-    });
+    reactor.push(step("loop.park", |s, tid| s.done[tid] = true));
 
     Model {
         name,
@@ -1125,14 +1114,14 @@ fn wake_model_with(clear_before_harvest: bool, name: &'static str) -> Model<Wake
     }
 }
 
-/// Reactor wake-coalescing model as shipped: the loop clears
-/// `wake_pending` *before* harvesting outboxes. Must pass.
+/// Reactor wake-coalescing model as shipped: the loop drains the pipe,
+/// *then* clears `wake_pending`, then harvests outboxes. Must pass.
 pub fn reactor_wake_model() -> Model<WakeState> {
     wake_model_with(true, "reactor-wake-coalescing")
 }
 
-/// Deliberately broken loop order: harvest before clearing the flag, so a
-/// poke-less enqueue between the two is flushed by nobody. Exists to
+/// The earlier loop order: clear the flag, then drain the pipe, so a
+/// poke between the two loses its byte and strands the flag. Exists to
 /// prove the checker catches the lost wakeup.
 pub fn reactor_lost_wakeup_model() -> Model<WakeState> {
     wake_model_with(false, "reactor-lost-wakeup")
@@ -1675,9 +1664,9 @@ mod tests {
     fn reactor_wake_model_passes_exhaustively() {
         let e = explore(&reactor_wake_model());
         assert!(e.passed(), "violations: {:?}", e.violations);
-        // 2 + 2 + 7 always-enabled steps: 11!/(2!·2!·7!) = 1980
+        // 4 + 4 + 9 always-enabled steps: 17!/(4!·4!·9!) = 1701700
         // interleavings.
-        assert_eq!(e.schedules, 1980);
+        assert_eq!(e.schedules, 1_701_700);
         assert!(e.schedules >= 1000);
     }
 
@@ -1686,7 +1675,7 @@ mod tests {
         let e = explore(&reactor_lost_wakeup_model());
         assert!(
             !e.violations.is_empty(),
-            "harvesting before the flag clear must lose a wakeup"
+            "clearing the flag before draining the pipe must lose a wakeup"
         );
         assert!(
             e.violations

@@ -7,14 +7,16 @@
 //! real queuing, real scheduling jitter, real connection teardown as the
 //! crash detector.
 //!
-//! Since the reactor rework, all client sockets are owned by a single
+//! The client is one [`MuxPool`]: all its sockets are owned by a single
 //! epoll-driven event-loop thread ([`mod@wire`] frames, vectored batched
-//! writes); [`MuxPool`] multiplexes many logical client handles over that
-//! one socket set, and the old thread-per-connection transport survives
-//! behind the `threaded-baseline` feature as an A/B baseline.
+//! writes), and it multiplexes logical client handles ([`MuxHandle`], one
+//! gateway handler each) over that one socket set, with deadline retries
+//! and reconnect-on-probation. The old single-lock and
+//! thread-per-connection clients survive behind the `serialized-baseline`
+//! and `threaded-baseline` features as A/B baselines.
 //!
 //! ```no_run
-//! use aqua_runtime::{AquaClient, AquaClientConfig, ReplicaServer, ReplicaServerConfig};
+//! use aqua_runtime::{MuxPool, MuxPoolConfig, ReplicaServer, ReplicaServerConfig};
 //! use aqua_core::qos::{QosSpec, ReplicaId};
 //! use aqua_core::repository::MethodId;
 //! use aqua_core::time::Duration;
@@ -28,11 +30,8 @@
 //! let replicas: Vec<_> = servers.iter().map(|s| (s.replica(), s.addr())).collect();
 //!
 //! let qos = QosSpec::new(Duration::from_millis(100), 0.9)?;
-//! let client = AquaClient::connect(
-//!     &replicas,
-//!     AquaClientConfig::new(qos),
-//!     Box::new(ModelBased::default()),
-//! )?;
+//! let pool = MuxPool::connect(&replicas, MuxPoolConfig::new(qos))?;
+//! let client = pool.handle(Box::new(ModelBased::default()));
 //! let outcome = client.call(MethodId::DEFAULT, b"query")?;
 //! assert!(outcome.timely);
 //! # Ok(())
@@ -44,7 +43,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod client;
 pub mod mux;
 mod reactor;
 #[cfg(feature = "serialized-baseline")]
@@ -56,8 +54,7 @@ mod sys;
 pub mod threaded;
 pub mod wire;
 
-pub use client::{AquaClient, AquaClientConfig, CallError, CallOutcome, ReconnectPolicy};
-pub use mux::{MuxHandle, MuxPool, MuxPoolConfig};
+pub use mux::{CallError, CallOutcome, MuxHandle, MuxPool, MuxPoolConfig, ReconnectPolicy};
 #[cfg(feature = "serialized-baseline")]
 pub use serialized::SerializedClient;
 pub use server::{ReplicaServer, ReplicaServerConfig};

@@ -279,8 +279,10 @@ impl Reactor {
     /// drop.
     pub(crate) fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Poke unconditionally: `wake_pending` may be set with the byte
-        // already drained, and a second byte merely causes one extra spin.
+        // Poke unconditionally rather than through `wake`: in the instant
+        // between the loop's drain and its flag clear, `wake_pending` is
+        // set over an empty pipe and `wake` would coalesce the poke away.
+        // A spare byte costs one extra spin at most.
         let mut tx = &self.shared.wake_tx;
         let _ = tx.write(&[1u8]);
         let handle = self.thread.lock().take();
@@ -327,16 +329,21 @@ fn event_loop(shared: Arc<Shared>, wake_rx: UnixStream) {
             let token = ev.data;
             let bits = ev.events;
             if token == WAKE_TOKEN {
-                // Clear the coalescing flag *before* draining the dirty
-                // list below: a sender queueing after this point writes a
-                // fresh byte, so no wakeup is ever lost.
-                shared.wake_pending.store(false, Ordering::Release);
+                // Drain the pipe, *then* clear the coalescing flag, then
+                // (below) harvest the dirty list. A sender whose swap
+                // still sees the flag set queued its output before the
+                // harvest; one that sees it cleared writes a fresh byte
+                // that this drain can no longer swallow. Clearing first
+                // would let a byte written between the clear and the
+                // drain vanish, leaving the flag set over an empty pipe so
+                // that every later wake is coalesced away.
                 let mut rx = &wake_rx;
                 while let Ok(n) = rx.read(&mut wake_buf) {
                     if n == 0 {
                         break;
                     }
                 }
+                shared.wake_pending.store(false, Ordering::Release);
                 continue;
             }
             let Some(conn) = shared.conn(token) else {

@@ -1,5 +1,5 @@
 //! The retained single-lock baseline: the serialized socket client that
-//! [`crate::AquaClient`] replaced.
+//! the reactor client [`crate::MuxPool`] replaced.
 //!
 //! Every state transition — planning, sending, reply ingestion, reconnect
 //! bookkeeping — funnels through one `Mutex<State>`, and all network
@@ -28,7 +28,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
-use crate::client::{AquaClientConfig, CallError, CallOutcome, ReconnectPolicy, WireMetrics};
+use crate::mux::{CallError, CallOutcome, MuxPoolConfig, ReconnectPolicy, WireMetrics};
 use crate::wire::Frame;
 
 enum NetEvent {
@@ -307,7 +307,7 @@ impl SerializedClient {
     /// Fails if any initial connection cannot be established.
     pub fn connect(
         replicas: &[(ReplicaId, SocketAddr)],
-        config: AquaClientConfig,
+        config: MuxPoolConfig,
         strategy: Box<dyn SelectionStrategy>,
     ) -> io::Result<SerializedClient> {
         let mut handler = TimingFaultHandler::new(config.qos, config.window, strategy);
@@ -605,7 +605,7 @@ mod tests {
         let qos = QosSpec::new(Duration::from_millis(500), 0.9).unwrap();
         let client = SerializedClient::connect(
             &replicas,
-            AquaClientConfig::new(qos),
+            MuxPoolConfig::new(qos),
             Box::new(ModelBased::default()),
         )
         .expect("connect");

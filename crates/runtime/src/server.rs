@@ -300,6 +300,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, job_tx: Sender<Servic
                 if let Ok(clone) = stream.try_clone() {
                     shared.connections.lock().push(clone);
                 }
+                if shared.shutdown.load(Ordering::SeqCst) || shared.refusing.load(Ordering::SeqCst)
+                {
+                    // A crash or down window since the checks above drained
+                    // the list before this connection joined it.
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                    continue;
+                }
                 let shared = Arc::clone(&shared);
                 let job_tx = job_tx.clone();
                 readers.retain(|t| !t.is_finished());

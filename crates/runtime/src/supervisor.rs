@@ -2,15 +2,15 @@
 //!
 //! The decision engine is the same [`SupervisorPolicy`] the simulator's
 //! `DependabilityManager` runs — pure logic, shared verbatim — and this
-//! driver is the thin seam that feeds it from a live [`AquaClient`]:
-//! replica-scoped calibration alerts arrive through the client's
+//! driver is the thin seam that feeds it from a live [`MuxHandle`]:
+//! replica-scoped calibration alerts arrive through the handle's
 //! watchdog hook, queue depths are sampled from the merged information
 //! repository's piggybacked `outstanding` counts, and the embedder calls
 //! [`SupervisorDriver::tick`] on its own cadence (a timer thread, the
 //! chaos harness's loop, …) and actuates the returned actions with the
-//! client API: [`AquaClient::renegotiate`] on an escalation,
-//! [`AquaClient::add_replica`] to cover a deficit, dropping a server
-//! handle to drain it.
+//! client API: [`MuxHandle::renegotiate`] on an escalation,
+//! [`MuxPool::add_replica`](crate::MuxPool::add_replica) to cover a
+//! deficit, dropping a server handle to drain it.
 //!
 //! Splitting decision from actuation keeps the policy testable and the
 //! replay story intact: a seeded driver produces the same action
@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 use aqua_core::time::Instant;
 use aqua_gateway::{SupervisorAction, SupervisorConfig, SupervisorPolicy};
 
-use crate::client::AquaClient;
+use crate::mux::MuxHandle;
 
 /// Hosts one [`SupervisorPolicy`] for a socket deployment. Cheap to
 /// clone (shared state); hooks registered with [`watch`] keep feeding
@@ -42,11 +42,11 @@ impl SupervisorDriver {
         }
     }
 
-    /// Registers this driver on the client's calibration watchdog:
+    /// Registers this driver on the handle's calibration watchdog:
     /// replica-scoped alerts become quarantine evidence, set-scoped
     /// alerts become overload evidence. No-op without observability
-    /// configured on the client.
-    pub fn watch(&self, client: &AquaClient) {
+    /// configured on the pool.
+    pub fn watch(&self, client: &MuxHandle) {
         let policy = Arc::clone(&self.policy);
         client.on_calibration_alert(move |alert| {
             policy
@@ -56,10 +56,10 @@ impl SupervisorDriver {
         });
     }
 
-    /// Samples every replica's smoothed queue depth from the client's
+    /// Samples every replica's smoothed queue depth from the handle's
     /// merged repository (the `outstanding` counts piggybacked on perf
     /// reports). Call alongside [`tick`](SupervisorDriver::tick).
-    pub fn sample_queues(&self, client: &AquaClient) {
+    pub fn sample_queues(&self, client: &MuxHandle) {
         let repository = client.with_handler(|h| h.repository());
         let mut policy = self.policy.lock().expect("supervisor policy poisoned");
         for (id, stats) in repository.iter() {

@@ -1,5 +1,5 @@
 //! The retained thread-per-connection baseline: the writer/reader-thread
-//! socket client that the reactor-based [`crate::AquaClient`] replaced.
+//! socket client that the reactor-based [`crate::MuxPool`] replaced.
 //!
 //! One OS thread pair per replica connection: a writer thread that
 //! batch-drains its frame channel into a reusable buffer and flushes with
@@ -11,7 +11,7 @@
 //! from the concurrent-gateway PR). Unlike its ancestor it tracks every
 //! spawned thread and joins them on drop.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, RwLock, Weak};
@@ -19,43 +19,30 @@ use std::thread::JoinHandle;
 use std::time::Instant as StdInstant;
 
 use aqua_core::qos::ReplicaId;
-use aqua_core::repository::{MethodId, PerfReport};
+use aqua_core::repository::MethodId;
 use aqua_core::time::{Duration, Instant};
-use aqua_gateway::{ConcurrentHandler, ReplyOutcome};
+use aqua_gateway::ConcurrentHandler;
 use aqua_strategies::SelectionStrategy;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::client::{AquaClientConfig, CallError, CallOutcome, StopSignal, WireMetrics};
+use crate::mux::{
+    perf_report, CallError, CallOutcome, HandleState, MuxPoolConfig, ReconnectPolicy, StopSignal,
+    WireMetrics,
+};
 use crate::wire::Frame;
 
-/// Number of waiter-table shards (sequence numbers hash across them).
-const WAITER_SHARDS: usize = 16;
-
-/// One resolved call message on a waiter channel.
-enum WaitMsg {
-    Outcome(CallOutcome),
-    NoReplicas,
-}
-
-/// An in-flight call attempt awaiting its first reply.
-struct Waiter {
-    tx: Sender<WaitMsg>,
-    redundancy: usize,
-    group: Vec<u64>,
-}
-
 struct Inner {
-    handler: ConcurrentHandler,
+    /// The handler and its waiter table, shared with the reactor client.
+    state: HandleState,
     /// Per-replica writer channels; the writer threads own the sockets.
     conns: RwLock<HashMap<ReplicaId, Sender<Frame>>>,
-    waiters: Vec<Mutex<HashMap<u64, Waiter>>>,
     addrs: Mutex<HashMap<ReplicaId, SocketAddr>>,
     backoff: Mutex<HashMap<ReplicaId, u32>>,
     epoch: StdInstant,
     wire: Option<WireMetrics>,
-    reconnect: Option<crate::ReconnectPolicy>,
+    reconnect: Option<ReconnectPolicy>,
     client_id: u64,
     /// Raised on teardown: readers skip disconnect handling, reconnect
     /// waits abort.
@@ -70,10 +57,6 @@ struct Inner {
 impl Inner {
     fn now(&self) -> Instant {
         Instant::from_nanos(self.epoch.elapsed().as_nanos() as u64)
-    }
-
-    fn waiter_shard(&self, seq: u64) -> &Mutex<HashMap<u64, Waiter>> {
-        &self.waiters[(seq as usize) % WAITER_SHARDS]
     }
 
     fn conn(&self, id: ReplicaId) -> Option<Sender<Frame>> {
@@ -135,13 +118,6 @@ impl Inner {
         sent
     }
 
-    fn clear_waiters(&self, seqs: &[u64]) {
-        for s in seqs {
-            let mut shard = self.waiter_shard(*s).lock();
-            shard.remove(s);
-        }
-    }
-
     fn on_frame(&self, id: ReplicaId, frame: Frame) {
         if let Some(wire) = &self.wire {
             wire.on_received(&frame);
@@ -160,22 +136,9 @@ impl Inner {
                 method,
                 payload,
             } => {
-                let perf = PerfReport {
-                    service_time: Duration::from_nanos(service_ns),
-                    queuing_delay: Duration::from_nanos(queue_ns),
-                    queue_len,
-                    method: MethodId::new(method),
-                };
-                let replica = ReplicaId::new(replica);
-                let now = self.now();
-                let outcome = self.handler.on_reply(now, seq, replica, perf);
-                if let ReplyOutcome::Deliver {
-                    response_time,
-                    verdict,
-                } = outcome
-                {
-                    self.deliver(seq, replica, response_time, verdict, payload);
-                }
+                let perf = perf_report(service_ns, queue_ns, queue_len, method);
+                self.state
+                    .on_reply(self.now(), seq, ReplicaId::new(replica), perf, payload);
             }
             Frame::PerfUpdate {
                 replica,
@@ -184,49 +147,13 @@ impl Inner {
                 queue_len,
                 method,
             } => {
-                let perf = PerfReport {
-                    service_time: Duration::from_nanos(service_ns),
-                    queuing_delay: Duration::from_nanos(queue_ns),
-                    queue_len,
-                    method: MethodId::new(method),
-                };
-                self.handler
+                let perf = perf_report(service_ns, queue_ns, queue_len, method);
+                self.state
+                    .handler
                     .on_perf_update(self.now(), ReplicaId::new(replica), perf);
             }
             _ => {}
         }
-    }
-
-    fn deliver(
-        &self,
-        seq: u64,
-        replica: ReplicaId,
-        response_time: Duration,
-        verdict: aqua_core::failure::TimingVerdict,
-        payload: Bytes,
-    ) {
-        let waiter = {
-            let mut shard = self.waiter_shard(seq).lock();
-            shard.remove(&seq)
-        };
-        let Some(waiter) = waiter else {
-            return;
-        };
-        for s in &waiter.group {
-            if *s != seq {
-                let mut shard = self.waiter_shard(*s).lock();
-                shard.remove(s);
-            }
-        }
-        let outcome = CallOutcome {
-            response_time,
-            timely: verdict.is_timely(),
-            callback: verdict.should_notify(),
-            redundancy: waiter.redundancy,
-            replica,
-            payload,
-        };
-        let _ = waiter.tx.send(WaitMsg::Outcome(outcome));
     }
 
     fn on_disconnect(self: &Arc<Self>, id: ReplicaId) {
@@ -236,36 +163,11 @@ impl Inner {
             conns.keys().copied().collect()
         };
         let now = self.now();
-        self.handler.on_view(now, remaining.iter().copied());
+        self.state.handler.on_view(now, remaining.iter().copied());
         if remaining.is_empty() {
-            self.fail_all_waiters(now);
+            self.state.fail_all(now);
         }
         self.spawn_reconnect(id);
-    }
-
-    fn fail_all_waiters(&self, now: Instant) {
-        let mut drained: Vec<(u64, Waiter)> = Vec::new();
-        for shard in &self.waiters {
-            let mut shard = shard.lock();
-            drained.extend(shard.drain());
-        }
-        let mut handled: HashSet<u64> = HashSet::new();
-        for (seq, waiter) in drained {
-            if handled.contains(&seq) {
-                continue;
-            }
-            let mut group = waiter.group.clone();
-            group.sort_unstable();
-            let last = *group.last().unwrap_or(&seq);
-            for s in &group {
-                handled.insert(*s);
-                if *s != last {
-                    self.handler.on_abandon(now, *s);
-                }
-            }
-            self.handler.on_give_up(now, last);
-            let _ = waiter.tx.send(WaitMsg::NoReplicas);
-        }
     }
 
     fn spawn_reconnect(self: &Arc<Self>, id: ReplicaId) {
@@ -314,7 +216,7 @@ impl Inner {
             if let Some(wire) = &inner.wire {
                 wire.reconnects.inc();
             }
-            inner.handler.on_rejoin(inner.now(), id);
+            inner.state.handler.on_rejoin(inner.now(), id);
             return;
         });
         self.track(handle);
@@ -367,15 +269,8 @@ fn reader_loop(weak: Weak<Inner>, mut stream: TcpStream, id: ReplicaId) {
     }
 }
 
-fn resolve(msg: WaitMsg) -> Result<CallOutcome, CallError> {
-    match msg {
-        WaitMsg::Outcome(outcome) => Ok(outcome),
-        WaitMsg::NoReplicas => Err(CallError::NoReplicas),
-    }
-}
-
 /// The thread-per-connection baseline client. See the module docs; the
-/// call protocol is identical to [`crate::AquaClient`], only the
+/// call protocol is identical to [`crate::MuxHandle`], only the
 /// transport differs.
 pub struct ThreadedClient {
     inner: Arc<Inner>,
@@ -426,7 +321,7 @@ impl ThreadedClient {
     /// Fails if any initial connection cannot be established.
     pub fn connect(
         replicas: &[(ReplicaId, SocketAddr)],
-        config: AquaClientConfig,
+        config: MuxPoolConfig,
         strategy: Box<dyn SelectionStrategy>,
     ) -> io::Result<ThreadedClient> {
         let mut handler = ConcurrentHandler::new(config.qos, config.window, strategy);
@@ -438,11 +333,8 @@ impl ThreadedClient {
             .as_ref()
             .map(|obs| WireMetrics::new(obs, config.id));
         let inner = Arc::new(Inner {
-            handler,
+            state: HandleState::new(handler),
             conns: RwLock::new(HashMap::new()),
-            waiters: (0..WAITER_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
             addrs: Mutex::new(HashMap::new()),
             backoff: Mutex::new(HashMap::new()),
             epoch: StdInstant::now(),
@@ -455,7 +347,7 @@ impl ThreadedClient {
         });
         for (id, addr) in replicas {
             inner.open_connection(*id, *addr)?;
-            inner.handler.insert_replica(inner.now(), *id);
+            inner.state.handler.insert_replica(inner.now(), *id);
         }
         Ok(ThreadedClient {
             inner,
@@ -466,18 +358,18 @@ impl ThreadedClient {
 
     /// Runs `f` against the handler (repository inspection, stats, …).
     pub fn with_handler<R>(&self, f: impl FnOnce(&ConcurrentHandler) -> R) -> R {
-        f(&self.inner.handler)
+        f(&self.inner.state.handler)
     }
 
     /// Emits any request spans still buffered by the handler's observer
     /// and flushes the journal.
     pub fn finish_observability(&self) {
-        self.inner.handler.flush_observability();
+        self.inner.state.handler.flush_observability();
     }
 
     /// Invokes the replicated service: selects replicas per the QoS spec,
     /// multicasts the request, and returns the earliest reply. Identical
-    /// protocol to [`crate::AquaClient::call`].
+    /// protocol to [`crate::MuxHandle::call`].
     ///
     /// # Errors
     ///
@@ -486,122 +378,14 @@ impl ThreadedClient {
     /// give-up window, [`CallError::Io`] on transport failures during send.
     pub fn call(&self, method: MethodId, payload: &[u8]) -> Result<CallOutcome, CallError> {
         let inner = &self.inner;
-        let t0 = inner.now();
-        let started = StdInstant::now();
-        let give_up = std::time::Duration::from(self.give_up_after);
-        let payload = Bytes::copy_from_slice(payload);
-
-        let plan = inner.handler.plan_request_for(t0, Some(method));
-        if plan.replicas.is_empty() {
-            inner.handler.on_give_up(inner.now(), plan.seq);
-            return Err(CallError::NoReplicas);
-        }
-        let first_seq = plan.seq;
-        let first_selection = plan.replicas;
-        let mut redundancy = first_selection.len();
-        let (tx, rx) = bounded(2);
-        {
-            let mut shard = inner.waiter_shard(first_seq).lock();
-            shard.insert(
-                first_seq,
-                Waiter {
-                    tx: tx.clone(),
-                    redundancy,
-                    group: vec![first_seq],
-                },
-            );
-        }
-        let sent = inner.multicast(first_seq, method, &payload, &first_selection);
-        if sent == 0 {
-            inner.clear_waiters(&[first_seq]);
-            inner.handler.on_give_up(inner.now(), first_seq);
-            return Err(CallError::GaveUp { redundancy });
-        }
-        let mut seqs = vec![first_seq];
-
-        if let Some(retry_after) = self.retry_after {
-            let wait = std::time::Duration::from(retry_after).min(give_up);
-            match rx.recv_timeout(wait) {
-                Ok(msg) => {
-                    inner.clear_waiters(&seqs);
-                    return resolve(msg);
-                }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                    let now = inner.now();
-                    let retry = inner.handler.plan_retry(
-                        now,
-                        Some(method),
-                        t0,
-                        first_seq,
-                        &first_selection,
-                    );
-                    if let Some(plan) = retry {
-                        let added = plan.replicas.len();
-                        let group = vec![first_seq, plan.seq];
-                        {
-                            let mut shard = inner.waiter_shard(first_seq).lock();
-                            if let Some(w) = shard.get_mut(&first_seq) {
-                                w.group.clone_from(&group);
-                                w.redundancy = redundancy + added;
-                            }
-                        }
-                        {
-                            let mut shard = inner.waiter_shard(plan.seq).lock();
-                            shard.insert(
-                                plan.seq,
-                                Waiter {
-                                    tx: tx.clone(),
-                                    redundancy: redundancy + added,
-                                    group,
-                                },
-                            );
-                        }
-                        let sent = inner.multicast(plan.seq, method, &payload, &plan.replicas);
-                        if sent > 0 {
-                            redundancy += added;
-                            seqs.push(plan.seq);
-                        } else {
-                            inner.clear_waiters(&[plan.seq]);
-                            {
-                                let mut shard = inner.waiter_shard(first_seq).lock();
-                                if let Some(w) = shard.get_mut(&first_seq) {
-                                    w.group = vec![first_seq];
-                                    w.redundancy = redundancy;
-                                }
-                            }
-                            inner.handler.on_abandon(now, plan.seq);
-                        }
-                    }
-                }
-            }
-        }
-
-        let remaining = give_up.saturating_sub(started.elapsed());
-        match rx.recv_timeout(remaining) {
-            Ok(msg) => {
-                inner.clear_waiters(&seqs);
-                resolve(msg)
-            }
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                let now = inner.now();
-                if let Some((last, earlier)) = seqs.split_last() {
-                    for s in earlier {
-                        inner.handler.on_abandon(now, *s);
-                    }
-                    if !inner.handler.on_give_up(now, *last) {
-                        let msg = rx.recv_timeout(std::time::Duration::from_secs(1)).ok();
-                        inner.clear_waiters(&seqs);
-                        if let Some(msg) = msg {
-                            return resolve(msg);
-                        }
-                        return Err(CallError::GaveUp { redundancy });
-                    }
-                }
-                inner.clear_waiters(&seqs);
-                drop(tx);
-                Err(CallError::GaveUp { redundancy })
-            }
-        }
+        inner.state.call(
+            || inner.now(),
+            self.give_up_after,
+            self.retry_after,
+            method,
+            payload,
+            |seq, payload, replicas| inner.multicast(seq, method, payload, replicas),
+        )
     }
 }
 
@@ -624,7 +408,7 @@ mod tests {
         let qos = QosSpec::new(Duration::from_millis(500), 0.9).unwrap();
         let client = ThreadedClient::connect(
             &replicas,
-            AquaClientConfig::new(qos),
+            MuxPoolConfig::new(qos),
             Box::new(ModelBased::default()),
         )
         .expect("connect");

@@ -1,5 +1,5 @@
-//! Multi-threaded stress of the concurrent client: many caller threads
-//! hammering one shared [`AquaClient`] while a fault plan stalls the
+//! Multi-threaded stress of the socket client: many caller threads
+//! hammering one shared `MuxHandle` while a fault plan stalls the
 //! preferred replica, forcing retries, sibling groups, and late replies
 //! to retired attempts — the exact races the sharded pending table and
 //! the `answered` CAS protocol exist to resolve.
@@ -18,7 +18,7 @@ use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::MethodId;
 use aqua_core::time::{Duration, Instant};
 use aqua_faults::FaultPlan;
-use aqua_runtime::{AquaClient, AquaClientConfig, ReplicaServer, ReplicaServerConfig};
+use aqua_runtime::{MuxPool, MuxPoolConfig, ReplicaServer, ReplicaServerConfig};
 use aqua_strategies::{FastestMean, ModelBased};
 
 fn ms(v: u64) -> Duration {
@@ -49,20 +49,14 @@ fn stress_with_stalled_replica_keeps_the_pending_table_consistent() {
         servers.push(ReplicaServer::spawn(cfg).expect("spawn"));
     }
 
-    let mut config = AquaClientConfig::new(QosSpec::new(ms(200), 0.9).unwrap());
+    let mut config = MuxPoolConfig::new(QosSpec::new(ms(200), 0.9).unwrap());
     config.give_up_after = ms(4_000);
     config.retry_after = Some(ms(150));
     config.obs = Some(obs.clone());
+    let pool = MuxPool::connect(&replicas_of(&servers), config).expect("connect");
     // FastestMean k=1 pins warm selections to replica 0, so stalls are
     // guaranteed to hit and retries are guaranteed to re-plan.
-    let client = Arc::new(
-        AquaClient::connect(
-            &replicas_of(&servers),
-            config,
-            Box::new(FastestMean { k: 1 }),
-        )
-        .expect("connect"),
-    );
+    let client = Arc::new(pool.handle(Box::new(FastestMean { k: 1 })));
 
     // Warm up so planning leaves cold start before the fault window.
     for _ in 0..3 {
@@ -148,16 +142,10 @@ fn hammer_shared_client_with_sixteen_threads() {
             ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(i), 0)).expect("spawn")
         })
         .collect();
-    let mut config = AquaClientConfig::new(QosSpec::new(ms(500), 0.9).unwrap());
+    let mut config = MuxPoolConfig::new(QosSpec::new(ms(500), 0.9).unwrap());
     config.give_up_after = ms(5_000);
-    let client = Arc::new(
-        AquaClient::connect(
-            &replicas_of(&servers),
-            config,
-            Box::new(ModelBased::default()),
-        )
-        .expect("connect"),
-    );
+    let pool = MuxPool::connect(&replicas_of(&servers), config).expect("connect");
+    let client = Arc::new(pool.handle(Box::new(ModelBased::default())));
 
     const THREADS: u64 = 16;
     const CALLS: u64 = 50;

@@ -15,7 +15,7 @@ use aqua_core::repository::MethodId;
 use aqua_core::time::{Duration, Instant};
 use aqua_faults::FaultPlan;
 use aqua_runtime::{
-    AquaClient, AquaClientConfig, CallError, ReconnectPolicy, ReplicaServer, ReplicaServerConfig,
+    CallError, MuxPool, MuxPoolConfig, ReconnectPolicy, ReplicaServer, ReplicaServerConfig,
 };
 use aqua_strategies::{FastestMean, ModelBased};
 
@@ -28,9 +28,10 @@ fn replicas_of(servers: &[ReplicaServer]) -> Vec<(ReplicaId, SocketAddr)> {
 }
 
 /// The acceptance scenario: a replica crashes on a schedule and recovers;
-/// the client reconnects with backoff, the replica rejoins the repository
-/// on probation, serves shadow traffic until `l` fresh samples arrive, and
-/// re-enters the selection set — all visible in the obs journal.
+/// the pool reconnects with backoff, the replica rejoins the repository of
+/// every handle on probation, serves shadow traffic until `l` fresh samples
+/// arrive, and re-enters each selection set — all visible in the obs
+/// journal.
 #[test]
 fn crashed_replica_recovers_and_reenters_selection_after_probation() {
     let (obs, reader) = aqua_obs::Obs::in_memory();
@@ -47,7 +48,7 @@ fn crashed_replica_recovers_and_reenters_selection_after_probation() {
         servers.push(ReplicaServer::spawn(cfg).expect("spawn"));
     }
 
-    let mut config = AquaClientConfig::new(QosSpec::new(ms(500), 0.9).unwrap());
+    let mut config = MuxPoolConfig::new(QosSpec::new(ms(500), 0.9).unwrap());
     config.window = 3; // probation clears after 3 fresh samples
     config.give_up_after = ms(2_000);
     config.obs = Some(obs.clone());
@@ -56,42 +57,47 @@ fn crashed_replica_recovers_and_reenters_selection_after_probation() {
         max_backoff: ms(200),
         max_attempts: 100,
     });
-    let client = AquaClient::connect(
-        &replicas_of(&servers),
-        config,
-        Box::new(ModelBased::default()),
-    )
-    .expect("connect");
+    let pool = MuxPool::connect(&replicas_of(&servers), config).expect("connect");
+    let handles = [
+        pool.handle(Box::new(ModelBased::default())),
+        pool.handle(Box::new(ModelBased::default())),
+    ];
 
     // Call steadily across the whole fault window (~3 s of wall clock):
     // warm-up, the down window (masked by the survivors), reconnect, and
     // enough post-recovery traffic to clear probation via shadow requests.
     let mut failures = 0;
     for _ in 0..60 {
-        if client.call(MethodId::DEFAULT, b"steady").is_err() {
-            failures += 1;
+        for client in &handles {
+            if client.call(MethodId::DEFAULT, b"steady").is_err() {
+                failures += 1;
+            }
         }
         std::thread::sleep(StdDuration::from_millis(50));
     }
-    client.finish_observability();
+    for client in &handles {
+        client.finish_observability();
+    }
     assert!(
         failures <= 2,
         "the crash window must be masked by the other replicas, {failures} calls failed"
     );
 
-    // (a) The recovered replica is back in the repository and selectable:
-    // probation has been served and cleared.
-    client.with_handler(|h| {
-        let repo = h.repository();
-        assert!(
-            repo.contains(ReplicaId::new(0)),
-            "recovered replica rejoined the repository"
-        );
-        assert!(
-            repo.selectable_ids().any(|id| id == ReplicaId::new(0)),
-            "probation cleared: replica 0 is selectable again"
-        );
-    });
+    // (a) The recovered replica is back in every handle's repository and
+    // selectable: probation has been served and cleared.
+    for client in &handles {
+        client.with_handler(|h| {
+            let repo = h.repository();
+            assert!(
+                repo.contains(ReplicaId::new(0)),
+                "recovered replica rejoined the repository"
+            );
+            assert!(
+                repo.selectable_ids().any(|id| id == ReplicaId::new(0)),
+                "probation cleared: replica 0 is selectable again"
+            );
+        });
+    }
 
     // The journal shows the full story: the fault window opening and
     // closing, and probation starting and clearing.
@@ -106,15 +112,19 @@ fn crashed_replica_recovers_and_reenters_selection_after_probation() {
         faults.iter().any(|l| l.contains(r#""phase":"cleared""#)),
         "fault clearance journalled: {faults:?}"
     );
+    // Each handle (clients 0 and 1) put the replica on probation and
+    // cleared it.
     let probation: Vec<String> = reader.lines_containing(r#""type":"probation""#);
-    assert!(
-        probation.iter().any(|l| l.contains(r#""phase":"started""#)),
-        "probation start journalled: {probation:?}"
-    );
-    assert!(
-        probation.iter().any(|l| l.contains(r#""phase":"cleared""#)),
-        "probation clearance journalled: {probation:?}"
-    );
+    for client in [r#""client":"0""#, r#""client":"1""#] {
+        for phase in [r#""phase":"started""#, r#""phase":"cleared""#] {
+            assert!(
+                probation
+                    .iter()
+                    .any(|l| l.contains(client) && l.contains(phase)),
+                "{client} {phase} journalled: {probation:?}"
+            );
+        }
+    }
     assert!(
         obs.prometheus().contains("aqua_client_reconnects_total"),
         "reconnects counted"
@@ -142,17 +152,13 @@ fn stalled_replica_is_masked_by_deadline_retry() {
         servers.push(ReplicaServer::spawn(cfg).expect("spawn"));
     }
 
-    let mut config = AquaClientConfig::new(QosSpec::new(ms(200), 0.9).unwrap());
+    let mut config = MuxPoolConfig::new(QosSpec::new(ms(200), 0.9).unwrap());
     config.give_up_after = ms(2_500);
     config.retry_after = Some(ms(300));
     config.obs = Some(obs.clone());
+    let pool = MuxPool::connect(&replicas_of(&servers), config).expect("connect");
     // FastestMean k=1 pins the selection to replica 0 once it is warm.
-    let client = AquaClient::connect(
-        &replicas_of(&servers),
-        config,
-        Box::new(FastestMean { k: 1 }),
-    )
-    .expect("connect");
+    let client = pool.handle(Box::new(FastestMean { k: 1 }));
 
     // Warm both replicas up (cold start multicasts to everyone).
     for _ in 0..3 {
@@ -203,17 +209,11 @@ fn in_flight_call_fails_fast_when_all_replicas_evicted() {
     let servers = vec![
         ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(0), 800)).expect("spawn"),
     ];
-    let mut config = AquaClientConfig::new(QosSpec::new(ms(500), 0.0).unwrap());
+    let mut config = MuxPoolConfig::new(QosSpec::new(ms(500), 0.0).unwrap());
     config.give_up_after = Duration::from_secs(10);
     config.reconnect = None; // eviction is final
-    let client = std::sync::Arc::new(
-        AquaClient::connect(
-            &replicas_of(&servers),
-            config,
-            Box::new(ModelBased::default()),
-        )
-        .expect("connect"),
-    );
+    let pool = MuxPool::connect(&replicas_of(&servers), config).expect("connect");
+    let client = std::sync::Arc::new(pool.handle(Box::new(ModelBased::default())));
 
     let caller = {
         let client = std::sync::Arc::clone(&client);
@@ -256,17 +256,11 @@ fn crash_during_inflight_request_is_masked_by_redundancy() {
                 .expect("spawn")
         })
         .collect();
-    let mut config = AquaClientConfig::new(QosSpec::new(Duration::from_secs(1), 0.9).unwrap());
+    let mut config = MuxPoolConfig::new(QosSpec::new(Duration::from_secs(1), 0.9).unwrap());
     config.give_up_after = Duration::from_secs(5);
     config.reconnect = None;
-    let client = std::sync::Arc::new(
-        AquaClient::connect(
-            &replicas_of(&servers),
-            config,
-            Box::new(ModelBased::default()),
-        )
-        .expect("connect"),
-    );
+    let pool = MuxPool::connect(&replicas_of(&servers), config).expect("connect");
+    let client = std::sync::Arc::new(pool.handle(Box::new(ModelBased::default())));
 
     // The cold-start call multicasts to all three replicas.
     let caller = {

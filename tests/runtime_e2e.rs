@@ -7,8 +7,8 @@ use std::net::SocketAddr;
 use aqua::core::qos::{QosSpec, ReplicaId};
 use aqua::core::repository::MethodId;
 use aqua::core::time::Duration;
-use aqua::runtime::{AquaClient, AquaClientConfig, ReplicaServer, ReplicaServerConfig};
-use aqua::strategies::{ModelBased, RoundRobin};
+use aqua::runtime::{MuxHandle, MuxPool, MuxPoolConfig, ReplicaServer, ReplicaServerConfig};
+use aqua::strategies::{ModelBased, RoundRobin, SelectionStrategy};
 
 fn ms(v: u64) -> Duration {
     Duration::from_millis(v)
@@ -27,22 +27,23 @@ fn spawn(service_ms: &[u64]) -> (Vec<ReplicaServer>, Vec<(ReplicaId, SocketAddr)
     (servers, addrs)
 }
 
+/// One client: a pool of its own with a single handle.
+fn connect(
+    addrs: &[(ReplicaId, SocketAddr)],
+    qos: QosSpec,
+    strategy: Box<dyn SelectionStrategy>,
+) -> (MuxPool, MuxHandle) {
+    let pool = MuxPool::connect(addrs, MuxPoolConfig::new(qos)).unwrap();
+    let handle = pool.handle(strategy);
+    (pool, handle)
+}
+
 #[test]
 fn two_clients_share_replicas_and_updates() {
     let (_servers, addrs) = spawn(&[5, 8, 12]);
     let qos = QosSpec::new(ms(300), 0.9).unwrap();
-    let a = AquaClient::connect(
-        &addrs,
-        AquaClientConfig::new(qos),
-        Box::new(ModelBased::default()),
-    )
-    .unwrap();
-    let b = AquaClient::connect(
-        &addrs,
-        AquaClientConfig::new(qos),
-        Box::new(ModelBased::default()),
-    )
-    .unwrap();
+    let (_a_pool, a) = connect(&addrs, qos, Box::new(ModelBased::default()));
+    let (_b_pool, b) = connect(&addrs, qos, Box::new(ModelBased::default()));
 
     // Only client A issues requests…
     for _ in 0..5 {
@@ -77,12 +78,7 @@ fn two_clients_share_replicas_and_updates() {
 fn alternate_strategies_run_over_sockets() {
     let (_servers, addrs) = spawn(&[5, 5, 5]);
     let qos = QosSpec::new(ms(300), 0.0).unwrap();
-    let client = AquaClient::connect(
-        &addrs,
-        AquaClientConfig::new(qos),
-        Box::new(RoundRobin::new(1)),
-    )
-    .unwrap();
+    let (_pool, client) = connect(&addrs, qos, Box::new(RoundRobin::new(1)));
     let mut seen = std::collections::BTreeSet::new();
     for _ in 0..6 {
         let out = client.call(MethodId::DEFAULT, b"x").expect("ok");
@@ -97,12 +93,7 @@ fn renegotiation_resets_the_detector_live() {
     let (_servers, addrs) = spawn(&[50]);
     // Impossible 5 ms deadline → every reply late.
     let qos = QosSpec::new(ms(5), 0.9).unwrap();
-    let client = AquaClient::connect(
-        &addrs,
-        AquaClientConfig::new(qos),
-        Box::new(ModelBased::default()),
-    )
-    .unwrap();
+    let (_pool, client) = connect(&addrs, qos, Box::new(ModelBased::default()));
     let out = client.call(MethodId::DEFAULT, b"x").expect("reply arrives");
     assert!(!out.timely);
     assert!(out.callback, "first late reply already violates Pc = 0.9");
@@ -120,12 +111,7 @@ fn renegotiation_resets_the_detector_live() {
 fn per_method_histories_over_sockets() {
     let (_servers, addrs) = spawn(&[10, 10]);
     let qos = QosSpec::new(ms(300), 0.5).unwrap();
-    let client = AquaClient::connect(
-        &addrs,
-        AquaClientConfig::new(qos),
-        Box::new(ModelBased::default()),
-    )
-    .unwrap();
+    let (_pool, client) = connect(&addrs, qos, Box::new(ModelBased::default()));
     let fast = MethodId::new(1);
     let slow = MethodId::new(2);
     for _ in 0..3 {
@@ -144,20 +130,14 @@ fn per_method_histories_over_sockets() {
 fn replicas_can_join_at_runtime() {
     let (mut servers, addrs) = spawn(&[30]);
     let qos = QosSpec::new(ms(300), 0.9).unwrap();
-    let client = AquaClient::connect(
-        &addrs,
-        AquaClientConfig::new(qos),
-        Box::new(ModelBased::default()),
-    )
-    .unwrap();
+    let (pool, client) = connect(&addrs, qos, Box::new(ModelBased::default()));
     for _ in 0..3 {
         let out = client.call(MethodId::DEFAULT, b"x").expect("ok");
         assert_eq!(out.redundancy, 1, "only one replica exists");
     }
     // A faster replica joins the service group.
     let newcomer = ReplicaServer::spawn(ReplicaServerConfig::quick(ReplicaId::new(9), 5)).unwrap();
-    client
-        .add_replica(newcomer.replica(), newcomer.addr())
+    pool.add_replica(newcomer.replica(), newcomer.addr())
         .expect("connects");
     servers.push(newcomer);
 
@@ -181,14 +161,8 @@ fn queue_buildup_is_reported() {
     // lengths, which flow into the repository's outstanding counts.
     let (servers, addrs) = spawn(&[40]);
     let qos = QosSpec::new(ms(2_000), 0.0).unwrap();
-    let client = std::sync::Arc::new(
-        AquaClient::connect(
-            &addrs,
-            AquaClientConfig::new(qos),
-            Box::new(ModelBased::default()),
-        )
-        .unwrap(),
-    );
+    let (_pool, client) = connect(&addrs, qos, Box::new(ModelBased::default()));
+    let client = std::sync::Arc::new(client);
     // Fire 4 calls from parallel threads so they pile up in the FIFO.
     let mut handles = Vec::new();
     for _ in 0..4 {
