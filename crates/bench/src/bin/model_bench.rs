@@ -3,10 +3,11 @@
 //!
 //! * **cold** — every replica receives a fresh perf sample immediately
 //!   before the timed plan, so each per-replica generation has moved and
-//!   the cache must rebuild every response distribution (the pre-cache
-//!   worst case, and the steady state of the old from-scratch pipeline);
+//!   the plan's publish must rebuild every response distribution (the
+//!   pre-cache worst case, and the steady state of a from-scratch
+//!   pipeline);
 //! * **warm** — the repository is untouched between plans, so every
-//!   distribution is answered from the memoized cumulative table.
+//!   distribution is answered from the published cumulative table.
 //!
 //! Writes `BENCH_MODEL.json` (grid of median latencies plus the speedup
 //! ratio) and prints a human-readable table.
@@ -47,29 +48,31 @@ impl Cell {
     }
 }
 
-/// A handler with `n` replicas whose windows (size `l`) are completely
-/// full, so every plan runs the whole model rather than the cold-start
-/// multicast.
+/// A virtual-time handler with `n` replicas whose windows (size `l`) are
+/// completely full, so every plan runs the whole model rather than the
+/// cold-start multicast. The last sample of each replica arrives as the
+/// reply to a probe, which also measures its gateway delay.
 fn warmed_handler(l: usize, n: usize) -> TimingFaultHandler {
     let qos = QosSpec::new(ms(150), 0.9).expect("valid spec");
-    let mut handler = TimingFaultHandler::new(qos, l, Box::new(ModelBased::default()));
+    let handler = TimingFaultHandler::in_virtual_time(qos, l, Box::new(ModelBased::default()));
     for i in 0..n {
         let r = ReplicaId::new(i as u64);
-        handler.repository_mut().insert_replica(r);
-        for k in 0..l {
-            handler.repository_mut().record_perf(
-                r,
-                PerfReport::new(
-                    ms(40 + ((i * 7 + k * 13) % 60) as u64),
-                    ms((k % 9) as u64),
-                    0,
-                ),
-                Instant::EPOCH,
-            );
+        handler.insert_replica(Instant::EPOCH, r);
+        let sample = |k: usize| {
+            PerfReport::new(
+                ms(40 + ((i * 7 + k * 13) % 60) as u64),
+                ms((k % 9) as u64),
+                0,
+            )
+        };
+        for k in 0..l - 1 {
+            handler.on_perf_update(Instant::EPOCH, r, sample(k));
         }
-        handler
-            .repository_mut()
-            .record_gateway_delay(r, ms(1 + (i % 5) as u64), Instant::EPOCH);
+        let last = sample(l - 1);
+        let probe = handler.plan_probe(Instant::EPOCH, r);
+        let delay = ms(1 + (i % 5) as u64);
+        let replied = Instant::EPOCH + last.service_time + last.queuing_delay + delay;
+        handler.on_reply(replied, probe.seq, r, last);
     }
     handler
 }
@@ -81,7 +84,7 @@ fn median(mut samples: Vec<u64>) -> u64 {
 
 /// One timed `plan_request`; the pending-entry retirement happens outside
 /// the timed region so only the selection path is measured.
-fn timed_plan(handler: &mut TimingFaultHandler, now: Instant) -> u64 {
+fn timed_plan(handler: &TimingFaultHandler, now: Instant) -> u64 {
     let started = std::time::Instant::now();
     let plan = handler.plan_request(now);
     let elapsed = started.elapsed().as_nanos() as u64;
@@ -91,7 +94,7 @@ fn timed_plan(handler: &mut TimingFaultHandler, now: Instant) -> u64 {
 }
 
 fn measure(l: usize, n: usize, iters: u32) -> Cell {
-    let mut handler = warmed_handler(l, n);
+    let handler = warmed_handler(l, n);
     let mut clock = 0u64;
 
     // Cold: move every replica's perf generation before each timed plan.
@@ -100,23 +103,23 @@ fn measure(l: usize, n: usize, iters: u32) -> Cell {
         clock += 1;
         let now = Instant::from_millis(clock);
         for i in 0..n {
-            handler.repository_mut().record_perf(
+            handler.on_perf_update(
+                now,
                 ReplicaId::new(i as u64),
                 PerfReport::new(ms(40 + (clock % 60)), ms(0), 0),
-                now,
             );
         }
-        cold.push(timed_plan(&mut handler, now));
+        cold.push(timed_plan(&handler, now));
     }
 
     // Warm: one priming plan rebuilds the cache, then the repository is
     // left untouched so every subsequent plan is all hits.
     clock += 1;
-    timed_plan(&mut handler, Instant::from_millis(clock));
+    timed_plan(&handler, Instant::from_millis(clock));
     let mut warm = Vec::with_capacity(iters as usize);
     for _ in 0..iters {
         clock += 1;
-        warm.push(timed_plan(&mut handler, Instant::from_millis(clock)));
+        warm.push(timed_plan(&handler, Instant::from_millis(clock)));
     }
 
     Cell {

@@ -1,20 +1,22 @@
 //! Multi-threaded throughput A/B of the gateway hot path: the concurrent
-//! snapshot/shard architecture ([`ConcurrentHandler`] / [`MuxHandle`])
-//! against the retained single-lock baseline ([`TimingFaultHandler`]
-//! behind one mutex / [`SerializedClient`]), on identical workloads.
+//! snapshot/shard architecture (the [`TimingFaultHandler`] shared by all
+//! caller threads / [`MuxHandle`]) against the retained single-lock
+//! baseline (the same handler behind one mutex and a dispatcher thread /
+//! [`SerializedClient`]), on identical workloads.
 //!
 //! Two workload modes, both closed-loop with N caller threads:
 //!
 //! * **`gateway` mode (the headline and the `--check` gate)** drives the
 //!   two handler architectures directly, with M in-process replicas that
 //!   reply as soon as the request is planned. The old architecture is
-//!   reproduced faithfully from the serialized client's data flow: one
-//!   mutex over handler + pending waiters, callers plan and multicast
-//!   under the lock, and every reply hops through a single dispatcher
-//!   thread that re-takes the lock to classify it. The new architecture
-//!   plans lock-free on the caller's thread and applies replies on
-//!   whatever thread holds them (in the socket runtime that is the
-//!   per-replica reader; here it is the caller). This isolates exactly
+//!   reproduced from the serialized client's data flow: one mutex over
+//!   handler + pending waiters, callers plan and multicast under the
+//!   lock, and every reply hops through a single dispatcher thread that
+//!   re-takes the lock to classify it. Both paths run the one real-time
+//!   handler, so the A/B isolates the architecture around it. The new
+//!   architecture plans lock-free on the caller's thread and applies
+//!   replies on whatever thread holds them (in the socket runtime that is
+//!   the reactor thread; here it is the caller). This isolates exactly
 //!   what the refactor changed — planning, reply classification, pending
 //!   bookkeeping — from loopback-TCP costs that both paths share.
 //!   With the PR 3 model cache making warm plans sub-microsecond, the
@@ -65,7 +67,7 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::{MethodId, PerfReport};
 use aqua_core::time::{Duration, Instant};
-use aqua_gateway::{ConcurrentHandler, ReplyOutcome, TimingFaultHandler};
+use aqua_gateway::{ReplyOutcome, TimingFaultHandler};
 use aqua_obs::contention::LockContention;
 use aqua_obs::json::JsonValue;
 use aqua_runtime::{
@@ -234,7 +236,7 @@ impl SerializedGateway {
             handler.attach_obs(obs, Some(0));
         }
         for i in 0..REPLICAS {
-            handler.repository_mut().insert_replica(ReplicaId::new(i));
+            handler.insert_replica(Instant::from_nanos(0), ReplicaId::new(i));
         }
         let contention = Arc::new(match obs {
             Some(obs) => LockContention::new(obs.registry(), "client-state"),
@@ -321,13 +323,13 @@ impl SerializedGateway {
 /// the socket runtime the per-replica reader. No dispatcher, no global
 /// lock.
 struct ConcurrentGateway {
-    handler: ConcurrentHandler,
+    handler: TimingFaultHandler,
     epoch: StdInstant,
 }
 
 impl ConcurrentGateway {
     fn new(obs: Option<&aqua_obs::Obs>) -> ConcurrentGateway {
-        let mut handler = ConcurrentHandler::new(qos(), WINDOW, Box::new(ModelBased::default()));
+        let mut handler = TimingFaultHandler::new(qos(), WINDOW, Box::new(ModelBased::default()));
         if let Some(obs) = obs {
             handler.attach_obs(obs, Some(0));
         }

@@ -5,16 +5,17 @@
 //! packages the read side as an immutable, epoch-published **planning
 //! view**: per-replica cumulative response-time tables ([`CdfTable`],
 //! already memoized by the model cache of `model.rs`) plus the freshness
-//! metadata needed to decide when a replica's entry is stale. Publishers
-//! rebuild a new [`PlanningView`] off the hot path whenever generation
-//! counters move and swap it into a [`SnapshotCell`] with a brief
-//! pointer-sized critical section; planners [`SnapshotCell::load`] the
-//! current `Arc` and run Algorithm 1 with no shared-state writes at all.
+//! metadata needed to decide when a replica's entry is stale. A publisher
+//! rebuilds a new [`PlanningView`] when generation counters have moved,
+//! rebuilding only the replicas whose counters moved, and swaps it into a
+//! [`SnapshotCell`] with a brief pointer-sized critical section; planners
+//! [`SnapshotCell::load`] the current `Arc` and run Algorithm 1 with no
+//! shared-state writes at all.
 //!
-//! Freshness is unchanged from the serialized design: every published entry
-//! is derived from the same sliding windows of the last `l` observations
-//! (§5.2), so a plan computed from a snapshot is exactly a plan the
-//! serialized handler could have computed at publication time.
+//! Every published entry is derived from the same sliding windows of the
+//! last `l` observations (§5.2), so a plan computed from a snapshot is
+//! exactly the plan the model-based strategy computes from the repository
+//! at publication time.
 
 use std::sync::{Arc, RwLock};
 
@@ -22,7 +23,7 @@ use crate::aqua;
 use crate::model::{MethodScope, ResponseTimeModel};
 use crate::pmf::{CdfTable, ConvScratch};
 use crate::qos::{QosSpec, ReplicaId};
-use crate::repository::{InfoRepository, MethodId, ReplicaStats};
+use crate::repository::{MethodId, ReplicaStats};
 use crate::time::Duration;
 
 /// The method slot a cached table is filed under: the method index for
@@ -51,7 +52,7 @@ pub struct ReplicaSnapshot {
     delay_generation: u64,
     outstanding: u32,
     /// `(slot, table)` pairs sorted by slot for binary-search lookup.
-    cdfs: Vec<(u64, Arc<CdfTable>)>,
+    cdfs: Vec<(u64, CdfTable)>,
 }
 
 impl ReplicaSnapshot {
@@ -64,18 +65,18 @@ impl ReplicaSnapshot {
         model: &ResponseTimeModel,
         scratch: &mut ConvScratch,
     ) -> Self {
-        let mut cdfs: Vec<(u64, Arc<CdfTable>)> = Vec::new();
+        let mut cdfs: Vec<(u64, CdfTable)> = Vec::new();
         match model.config().method_scope {
             MethodScope::PerMethod => {
                 for (method, _) in stats.histories() {
                     if let Some(pmf) = model.response_pmf_with(stats, Some(method), scratch) {
-                        cdfs.push((u64::from(method.index()), Arc::new(pmf.cumulative())));
+                        cdfs.push((u64::from(method.index()), pmf.cumulative()));
                     }
                 }
             }
             MethodScope::Aggregate => {
                 if let Some(pmf) = model.response_pmf_with(stats, None, scratch) {
-                    cdfs.push((AGGREGATE_SLOT, Arc::new(pmf.cumulative())));
+                    cdfs.push((AGGREGATE_SLOT, pmf.cumulative()));
                 }
             }
         }
@@ -156,9 +157,6 @@ pub struct PlanningView {
     version: u64,
     /// Sorted by replica id for binary-search lookup.
     replicas: Vec<Arc<ReplicaSnapshot>>,
-    /// The merged repository the snapshots were derived from — the source
-    /// of truth for facade reads (membership, warmness, raw windows).
-    repository: Arc<InfoRepository>,
     /// The QoS spec in force at publication. Planning inputs travel
     /// together: a renegotiation (§5.4.2) republishes, so a plan never
     /// mixes an old deadline with new tables or vice versa.
@@ -166,29 +164,22 @@ pub struct PlanningView {
 }
 
 impl PlanningView {
-    /// An empty version-0 view over a repository with window size
-    /// `window` (what a handler publishes before any replica joins).
-    pub fn empty(window: usize, qos: QosSpec) -> Self {
+    /// An empty version-0 view (what a handler publishes before any
+    /// replica joins).
+    pub fn empty(qos: QosSpec) -> Self {
         PlanningView {
             version: 0,
             replicas: Vec::new(),
-            repository: Arc::new(InfoRepository::new(window)),
             qos,
         }
     }
 
     /// Assembles a view; `replicas` is sorted by id internally.
-    pub fn assemble(
-        version: u64,
-        mut replicas: Vec<Arc<ReplicaSnapshot>>,
-        repository: Arc<InfoRepository>,
-        qos: QosSpec,
-    ) -> Self {
+    pub fn assemble(version: u64, mut replicas: Vec<Arc<ReplicaSnapshot>>, qos: QosSpec) -> Self {
         replicas.sort_unstable_by_key(|r| r.id());
         PlanningView {
             version,
             replicas,
-            repository,
             qos,
         }
     }
@@ -238,18 +229,6 @@ impl PlanningView {
             }
         }
         any
-    }
-
-    /// The merged repository backing this view.
-    #[inline]
-    pub fn repository(&self) -> &InfoRepository {
-        &self.repository
-    }
-
-    /// Shares the backing repository (publishers clone it copy-on-write).
-    #[inline]
-    pub fn repository_arc(&self) -> Arc<InfoRepository> {
-        Arc::clone(&self.repository)
     }
 }
 
@@ -310,7 +289,7 @@ impl SnapshotCell {
 mod tests {
     use super::*;
     use crate::model::ModelConfig;
-    use crate::repository::PerfReport;
+    use crate::repository::{InfoRepository, PerfReport};
     use crate::time::Instant;
 
     fn spec() -> QosSpec {
@@ -348,7 +327,7 @@ mod tests {
             .iter()
             .map(|(id, stats)| Arc::new(ReplicaSnapshot::build(id, stats, model, &mut scratch)))
             .collect();
-        PlanningView::assemble(version, snaps, Arc::new(repo.clone()), spec())
+        PlanningView::assemble(version, snaps, spec())
     }
 
     #[test]
@@ -423,20 +402,10 @@ mod tests {
 
     #[test]
     fn publish_rejects_stale_versions() {
-        let cell = SnapshotCell::new(PlanningView::empty(5, spec()));
+        let cell = SnapshotCell::new(PlanningView::empty(spec()));
         assert_eq!(cell.version(), 0);
-        let v2 = Arc::new(PlanningView::assemble(
-            2,
-            Vec::new(),
-            Arc::new(InfoRepository::new(5)),
-            spec(),
-        ));
-        let v1 = Arc::new(PlanningView::assemble(
-            1,
-            Vec::new(),
-            Arc::new(InfoRepository::new(5)),
-            spec(),
-        ));
+        let v2 = Arc::new(PlanningView::assemble(2, Vec::new(), spec()));
+        let v1 = Arc::new(PlanningView::assemble(1, Vec::new(), spec()));
         assert!(cell.publish(Arc::clone(&v2)));
         assert_eq!(cell.version(), 2);
         assert!(!cell.publish(v1), "older version must be refused");
@@ -446,7 +415,7 @@ mod tests {
 
     #[test]
     fn loaded_view_survives_republish() {
-        let cell = SnapshotCell::new(PlanningView::empty(5, spec()));
+        let cell = SnapshotCell::new(PlanningView::empty(spec()));
         let before = cell.load();
         let repo = warmed_repo(1, 5);
         let model = ResponseTimeModel::new(ModelConfig::default());

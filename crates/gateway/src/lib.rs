@@ -4,13 +4,11 @@
 //! gateways exchanging [`AquaMsg`]s through the group-communication
 //! substrate.
 //!
-//! * [`TimingFaultHandler`] — the paper's handler as transport-agnostic
-//!   state (selection, repository updates, `td` measurement, timing-failure
-//!   detection). Reused verbatim by the simulator.
-//! * [`ConcurrentHandler`] — the same responsibilities restructured for
-//!   multi-threaded callers: lock-free snapshot planning plus sharded
-//!   reply ingestion and pending-request tracking. Used by the socket
-//!   runtime's hot path.
+//! * [`TimingFaultHandler`] — the paper's handler (§5.4) as
+//!   transport-agnostic state: selection against a published planning
+//!   view, repository updates, `td` measurement, timing-failure detection.
+//!   The one implementation behind the simulator (virtual time) and every
+//!   socket client (real time); see [`TimingFaultHandler::in_virtual_time`].
 //! * [`ClientGateway`] — a simulated client gateway node wrapping the
 //!   handler plus the paper's closed-loop request generator.
 //! * [`ServerGateway`] — a simulated replica host: FIFO queue, service-time
@@ -22,7 +20,6 @@
 #![warn(missing_docs)]
 
 mod client;
-mod concurrent;
 mod handlers;
 mod manager;
 pub mod obs;
@@ -33,7 +30,6 @@ mod supervisor;
 mod timing;
 
 pub use client::{ArrivalModel, ClientConfig, ClientGateway, RequestRecord};
-pub use concurrent::ConcurrentHandler;
 pub use handlers::{active_strategy, FailoverAction, PassiveHandler, PassivePending};
 pub use manager::{DependabilityManager, ManagerConfig, SupervisionConfig, DRAIN_WINDOW_BASE};
 pub use obs::HandlerObserver;
@@ -44,7 +40,7 @@ pub use passive_client::{PassiveClientConfig, PassiveClientGateway};
 pub use proto::{AquaMsg, RequestId, Wire};
 pub use server::{ServerConfig, ServerGateway};
 pub use supervisor::{SupervisorAction, SupervisorConfig, SupervisorPolicy};
-pub use timing::{HandlerStats, PendingRequest, ReplyOutcome, RequestPlan, TimingFaultHandler};
+pub use timing::{HandlerStats, ReplyOutcome, RequestPlan, TimingFaultHandler};
 
 #[cfg(test)]
 mod sim_tests {
@@ -259,8 +255,12 @@ mod sim_tests {
         // …and kept its entry fresh for the whole workload: without
         // probes the only update would be the cold-start multicast at
         // ~0.5 s (probing stops once the client finishes, around 8.5 s).
-        let stats = handler.repository().stats(ReplicaId::new(2)).unwrap();
-        let last = stats.last_update().unwrap();
+        let repo = handler.repository();
+        let last = repo
+            .stats(ReplicaId::new(2))
+            .unwrap()
+            .last_update()
+            .unwrap();
         assert!(
             last > Instant::from_secs(5),
             "entry refreshed late in the run, last update {last}"

@@ -1,11 +1,14 @@
 //! Observability hooks for the timing fault handler.
 //!
 //! [`HandlerObserver`] is the glue between [`crate::TimingFaultHandler`]
-//! and the `aqua-obs` registry/journal: the handler calls one hook per
-//! lifecycle event (plan, reply, give-up) and the observer maintains
+//! and the `aqua-obs` registry/journal. The handler owns it behind a
+//! mutex, in the simulator and on sockets alike, and calls one hook per
+//! lifecycle event (plan, reply, give-up); callers reach it through
+//! [`crate::TimingFaultHandler::with_observer`]. The observer maintains
 //!
 //! * counters — requests, probes, delivered/redundant replies, give-ups,
-//!   QoS callbacks, timing failures, selection-set-size counts;
+//!   QoS callbacks, timing failures, selection-set-size counts, and
+//!   model-cache hits/misses of the handler's published replica tables;
 //! * histograms — per-replica `ts`/`tq`/`td` decompositions, end-to-end
 //!   response times, and the selection overhead δ of §5.3.3;
 //! * one [`RequestSpan`] per request, emitted to the JSONL journal when
@@ -111,7 +114,6 @@ pub struct HandlerObserver {
     probation_cleared: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
-    cache_invalidations: Arc<Counter>,
     overhead: Arc<Histogram>,
     response: Arc<Histogram>,
     selection_sizes: HashMap<usize, Arc<Counter>>,
@@ -153,7 +155,6 @@ impl HandlerObserver {
                 .counter("aqua_probation_transitions_total", &[("phase", "cleared")]),
             cache_hits: registry.counter("aqua_model_cache_hits_total", &labels),
             cache_misses: registry.counter("aqua_model_cache_misses_total", &labels),
-            cache_invalidations: registry.counter("aqua_model_cache_invalidations_total", &labels),
             overhead: registry.histogram("aqua_selection_overhead_ns", &labels),
             response: registry.histogram("aqua_response_time_ns", &labels),
             selection_sizes: HashMap::new(),
@@ -404,17 +405,14 @@ impl HandlerObserver {
         }
     }
 
-    /// Accumulates one plan's model-cache activity (deltas, not lifetime
-    /// totals — the handler subtracts the previous snapshot).
-    pub(crate) fn on_model_cache(&mut self, hits: u64, misses: u64, invalidations: u64) {
+    /// Accumulates one plan's model-cache activity: replica tables the
+    /// plan reused (hits) and tables its publish rebuilt (misses).
+    pub(crate) fn on_model_cache(&mut self, hits: u64, misses: u64) {
         if hits > 0 {
             self.cache_hits.add(hits);
         }
         if misses > 0 {
             self.cache_misses.add(misses);
-        }
-        if invalidations > 0 {
-            self.cache_invalidations.add(invalidations);
         }
     }
 

@@ -88,9 +88,9 @@ proptest! {
     fn handler_accounting_never_breaks(actions in prop::collection::vec(action(), 1..80)) {
         let pool = 5u64;
         let qos = QosSpec::new(ms(200), 0.9).unwrap();
-        let mut handler = TimingFaultHandler::new(qos, 5, Box::new(ModelBased::default()));
+        let handler = TimingFaultHandler::in_virtual_time(qos, 5, Box::new(ModelBased::default()));
         for i in 0..pool {
-            handler.repository_mut().insert_replica(ReplicaId::new(i));
+            handler.insert_replica(Instant::EPOCH, ReplicaId::new(i));
         }
 
         let mut now = Instant::EPOCH;
@@ -184,7 +184,8 @@ proptest! {
         let pool = 5u64;
         let l = 5u32; // repository window == probation length
         let qos = QosSpec::new(ms(200), 0.9).unwrap();
-        let mut handler = TimingFaultHandler::new(qos, l as usize, Box::new(ModelBased::default()));
+        let handler =
+            TimingFaultHandler::in_virtual_time(qos, l as usize, Box::new(ModelBased::default()));
         let mut now = Instant::EPOCH;
         // Everyone starts in the view, so every later reappearance is a
         // rejoin (first joins are warmed by cold-start, not probation).
@@ -251,9 +252,10 @@ proptest! {
             }
 
             // The handler must agree with the shadow model exactly.
+            let repository = handler.repository();
             for i in 0..pool as usize {
                 let id = ReplicaId::new(i as u64);
-                let stats = handler.repository().stats(id);
+                let stats = repository.stats(id);
                 prop_assert_eq!(stats.is_some(), in_view[i]);
                 if let Some(stats) = stats {
                     prop_assert_eq!(
@@ -264,7 +266,7 @@ proptest! {
                 }
             }
             // Strategies may only trust replicas that are off probation.
-            for (_, stats) in handler.repository().selectable() {
+            for (_, stats) in repository.selectable() {
                 prop_assert!(!stats.is_on_probation());
             }
         }
@@ -274,10 +276,10 @@ proptest! {
     fn handler_is_deterministic(actions in prop::collection::vec(action(), 1..40)) {
         fn run(actions: &[Action]) -> (u64, u64, u64, usize) {
             let qos = QosSpec::new(ms(200), 0.5).unwrap();
-            let mut handler =
-                TimingFaultHandler::new(qos, 5, Box::new(ModelBased::default()));
+            let handler =
+                TimingFaultHandler::in_virtual_time(qos, 5, Box::new(ModelBased::default()));
             for i in 0..4u64 {
-                handler.repository_mut().insert_replica(ReplicaId::new(i));
+                handler.insert_replica(Instant::EPOCH, ReplicaId::new(i));
             }
             let mut now = Instant::EPOCH;
             let mut plans = Vec::new();

@@ -22,10 +22,10 @@
 //!   never alias a stale cache entry (the ABA hazard the epoch exists
 //!   for). [`repository_no_epoch_model`] is the deliberately buggy
 //!   variant; tests use it to prove the checker actually catches the bug.
-//! * [`snapshot_publish_model`] — the concurrent gateway's snapshot
-//!   pipeline: sharded ingestion marks a dirty flag, publishers rebuild
-//!   under a publish mutex and install through a version-guarded cell,
-//!   planners read lock-free. [`snapshot_publish_racy_model`] drops both
+//! * [`snapshot_publish_model`] — the gateway handler's snapshot
+//!   pipeline: sharded ingestion only marks a dirty flag; a planner that
+//!   finds it set rebuilds under a publish mutex and installs through a
+//!   version-guarded cell before loading the view lock-free. [`snapshot_publish_racy_model`] drops both
 //!   the mutex and the guard to exhibit the lost-update/stale-snapshot
 //!   ABA the protocol prevents.
 //! * [`pending_retry_model`] — the sharded pending-request table: a first
@@ -530,20 +530,22 @@ pub fn repository_no_epoch_model() -> Model<RepoState> {
 }
 
 // ---------------------------------------------------------------------------
-// Model 3: concurrent gateway — snapshot publish vs lock-free plan.
+// Model 3: gateway handler — publish on plan vs ingestion.
 // ---------------------------------------------------------------------------
 
-/// Shadow of the `ConcurrentHandler` snapshot pipeline: sharded ingestion
-/// marks a dirty flag, publishers rebuild the planning snapshot under a
-/// publish mutex and install it through a version-guarded cell, and the
-/// planner reads the published pointer without any lock.
+/// Shadow of the `TimingFaultHandler` snapshot pipeline as shipped:
+/// ingestion only writes its shard and marks the view dirty; each planner
+/// checks the flag lock-free, and if it is set takes the publish mutex,
+/// harvests (re-checks and clears the flag, rebuilds from all shards),
+/// installs through a version-guarded cell, unlocks, and then loads the
+/// published pointer to plan.
 #[derive(Clone)]
 pub struct SnapshotState {
     /// Per-shard ingested sample counts (two ingestion shards).
     shard: [ShadowAtomicU64; 2],
-    /// The "snapshot is stale" flag (`ConcurrentHandler::dirty`).
+    /// The "snapshot is stale" flag (`TimingFaultHandler::dirty`).
     dirty: ShadowAtomicU64,
-    /// Serializes rebuild+install (`ConcurrentHandler::publish`).
+    /// Serializes rebuild+install (`TimingFaultHandler::publish`).
     publish_lock: ShadowLock,
     /// Published snapshot: version and content (samples included).
     snap_version: ShadowAtomicU64,
@@ -552,12 +554,16 @@ pub struct SnapshotState {
     version_guard: bool,
     /// Whether rebuild+install run under the publish mutex.
     use_mutex: bool,
-    /// Per-ingester scratch: the snapshot each built `(version, content)`;
-    /// `None` when the dirty check said someone else already published.
-    built: [Option<(u64, u64)>; 2],
-    /// Per-ingester "finished the whole publish path" flags.
-    done: [bool; 2],
-    /// Planner scratch: last `(version, content)` loaded.
+    /// Per-thread: the planner's lock-free check found the view clean, so
+    /// it plans without publishing.
+    clean: [bool; 4],
+    /// Per-thread scratch: the snapshot a planner built `(version,
+    /// content)`; `None` when the re-check said someone else published.
+    built: [Option<(u64, u64)>; 4],
+    /// Per-thread "finished every step" flags.
+    done: [bool; 4],
+    /// The last `(version, content)` any planner loaded (loads are
+    /// totally ordered, so a later load may never see an older version).
     planned: Option<(u64, u64)>,
     /// First violation observed by a planner or final-state check.
     violation: Option<String>,
@@ -583,14 +589,15 @@ fn snapshot_model_with(
             snap_content: ShadowAtomicU64::new(0),
             version_guard,
             use_mutex,
-            built: [None, None],
-            done: [false, false],
+            clean: [false; 4],
+            built: [None; 4],
+            done: [false; 4],
             planned: None,
             violation: None,
         }
     }
     fn lock_gate(s: &SnapshotState, tid: usize) -> bool {
-        !s.use_mutex || s.publish_lock.can_acquire(tid)
+        s.clean[tid] || !s.use_mutex || s.publish_lock.can_acquire(tid)
     }
     fn always(_: &SnapshotState, _: usize) -> bool {
         true
@@ -599,7 +606,7 @@ fn snapshot_model_with(
         if let Some(msg) = &s.violation {
             return Err(msg.clone());
         }
-        if s.done[0] && s.done[1] && s.dirty.load() == 0 {
+        if s.done.iter().all(|d| *d) && s.dirty.load() == 0 {
             let total = s.shard[0].load() + s.shard[1].load();
             let content = s.snap_content.load();
             if content != total {
@@ -611,25 +618,56 @@ fn snapshot_model_with(
         Ok(())
     }
 
-    // Each ingester mirrors `ingest` + `maybe_publish`: write its shard
-    // and mark dirty (one step — the shard mutex covers both), take the
-    // publish mutex, harvest (re-check dirty, clear it, rebuild from ALL
-    // shards at version current+1), install, release.
+    // Each ingester mirrors `ingest`: write its shard and mark dirty (one
+    // step — the shard mutex covers both). It never publishes.
     fn ingester() -> Vec<Step<SnapshotState>> {
-        let steps: [Step<SnapshotState>; 5] = [
+        vec![Step {
+            name: "ingest.write+dirty",
+            enabled: always,
+            run: |s, tid| {
+                s.shard[tid].fetch_add(1);
+                s.dirty.store(1);
+                s.done[tid] = true;
+            },
+        }]
+    }
+
+    // A planner's view load, exactly like `plan_with` after its publish.
+    // Versions must never regress, and one version must never expose two
+    // different contents (stale-snapshot ABA).
+    fn plan_load(s: &mut SnapshotState) {
+        let seen = (s.snap_version.load(), s.snap_content.load());
+        if let Some((pv, pc)) = s.planned {
+            if seen.0 < pv {
+                s.violation = Some(format!(
+                    "snapshot version regressed: a plan saw v{pv}, a later one v{}",
+                    seen.0
+                ));
+            } else if seen.0 == pv && seen.1 != pc {
+                s.violation = Some(format!(
+                    "stale-snapshot ABA: v{pv} observed with content {pc} and then {}",
+                    seen.1
+                ));
+            }
+        }
+        s.planned = Some(seen);
+    }
+
+    // Each planner mirrors `plan_with` → `maybe_publish`: the lock-free
+    // dirty check, then lock, harvest (re-check dirty, clear it, rebuild
+    // from ALL shards at version current+1), install, unlock, load.
+    fn planner() -> Vec<Step<SnapshotState>> {
+        vec![
             Step {
-                name: "ingest.write+dirty",
+                name: "plan.check",
                 enabled: always,
-                run: |s, tid| {
-                    s.shard[tid].fetch_add(1);
-                    s.dirty.store(1);
-                },
+                run: |s, tid| s.clean[tid] = s.dirty.load() == 0,
             },
             Step {
                 name: "publish.lock",
                 enabled: lock_gate,
                 run: |s, tid| {
-                    if s.use_mutex {
+                    if !s.clean[tid] && s.use_mutex {
                         s.publish_lock.acquire(tid);
                     }
                 },
@@ -638,8 +676,8 @@ fn snapshot_model_with(
                 name: "publish.harvest",
                 enabled: always,
                 run: |s, tid| {
-                    if s.dirty.load() == 0 {
-                        s.built[tid] = None; // someone newer already published
+                    if s.clean[tid] || s.dirty.load() == 0 {
+                        s.built[tid] = None; // nothing new, or already published
                     } else {
                         s.dirty.store(0);
                         let content = s.shard[0].load() + s.shard[1].load();
@@ -663,54 +701,21 @@ fn snapshot_model_with(
                 name: "publish.unlock",
                 enabled: always,
                 run: |s, tid| {
-                    if s.use_mutex {
+                    if !s.clean[tid] && s.use_mutex {
                         s.publish_lock.release(tid);
                     }
+                },
+            },
+            Step {
+                name: "plan.load",
+                enabled: always,
+                run: |s, tid| {
+                    plan_load(s);
                     s.done[tid] = true;
                 },
             },
-        ];
-        steps.into()
+        ]
     }
-
-    // The planner loads the published pointer twice, lock-free, exactly
-    // like `plan_from_snapshot`. Versions must never regress, and one
-    // version must never expose two different contents (stale-snapshot
-    // ABA).
-    fn plan_load(s: &mut SnapshotState) {
-        let seen = (s.snap_version.load(), s.snap_content.load());
-        if let Some((pv, pc)) = s.planned {
-            if seen.0 < pv {
-                s.violation = Some(format!(
-                    "snapshot version regressed: planner saw v{pv} then v{}",
-                    seen.0
-                ));
-            } else if seen.0 == pv && seen.1 != pc {
-                s.violation = Some(format!(
-                    "stale-snapshot ABA: v{pv} observed with content {pc} and then {}",
-                    seen.1
-                ));
-            }
-        }
-        s.planned = Some(seen);
-    }
-    let planner: Vec<Step<SnapshotState>> = vec![
-        Step {
-            name: "plan.load1",
-            enabled: always,
-            run: |s, _| plan_load(s),
-        },
-        Step {
-            name: "plan.load2",
-            enabled: always,
-            run: |s, _| plan_load(s),
-        },
-        Step {
-            name: "plan.load3",
-            enabled: always,
-            run: |s, _| plan_load(s),
-        },
-    ];
 
     Model {
         name,
@@ -719,13 +724,14 @@ fn snapshot_model_with(
         } else {
             init_racy
         },
-        threads: vec![ingester(), ingester(), planner],
+        threads: vec![ingester(), ingester(), planner(), planner()],
         invariant,
     }
 }
 
-/// Snapshot publish-vs-plan model as shipped: rebuilds serialized by the
-/// publish mutex, installs guarded by the version check. Must pass.
+/// Snapshot publish-vs-plan model as shipped: planners publish, rebuilds
+/// serialized by the publish mutex, installs guarded by the version check.
+/// Must pass.
 pub fn snapshot_publish_model() -> Model<SnapshotState> {
     snapshot_model_with(true, true, "gateway-snapshot-publish-vs-plan")
 }
@@ -739,7 +745,7 @@ pub fn snapshot_publish_racy_model() -> Model<SnapshotState> {
 }
 
 // ---------------------------------------------------------------------------
-// Model 4: concurrent gateway — first reply vs retry re-plan.
+// Model 4: gateway handler — first reply vs retry re-plan.
 // ---------------------------------------------------------------------------
 
 /// Shadow of the sharded pending-request table: an original attempt and a
@@ -1598,9 +1604,10 @@ mod tests {
     fn snapshot_publish_model_passes_exhaustively() {
         let e = explore(&snapshot_publish_model());
         assert!(e.passed(), "violations: {:?}", e.violations);
-        // 5 + 5 + 3 steps with the publish mutex serializing the two
-        // rebuild/install windows: 3432 feasible interleavings.
-        assert_eq!(e.schedules, 3432);
+        // Two 1-step ingesters and two 6-step planners, the publish mutex
+        // serializing the planners' rebuild/install windows: 149,128
+        // feasible interleavings.
+        assert_eq!(e.schedules, 149_128);
     }
 
     #[test]

@@ -32,6 +32,8 @@ pub const LOCK_ACQUISITIONS_TOTAL: &str = "aqua_lock_acquisitions_total";
 pub struct LockContention {
     wait_ns: Arc<Counter>,
     acquisitions: Arc<Counter>,
+    /// Whether [`LockContention::acquire`] times the wait.
+    timed: bool,
 }
 
 impl LockContention {
@@ -40,16 +42,19 @@ impl LockContention {
         LockContention {
             wait_ns: registry.counter(LOCK_WAIT_NS_TOTAL, &[("lock", lock)]),
             acquisitions: registry.counter(LOCK_ACQUISITIONS_TOTAL, &[("lock", lock)]),
+            timed: true,
         }
     }
 
-    /// Unregistered counters: still count (cheap atomics) but are visible
-    /// only through this handle. The configuration for handlers that have
-    /// no [`crate::Obs`] attached.
+    /// Unregistered counters, visible only through this handle: the
+    /// configuration for handlers that have no [`crate::Obs`] attached.
+    /// [`LockContention::acquire`] counts acquisitions but skips the two
+    /// clock reads that time the wait, which nothing exports.
     pub fn detached() -> Self {
         LockContention {
             wait_ns: Arc::new(Counter::new()),
             acquisitions: Arc::new(Counter::new()),
+            timed: false,
         }
     }
 
@@ -60,10 +65,15 @@ impl LockContention {
         self.acquisitions.inc();
     }
 
-    /// Times `acquire` (a closure performing the blocking `lock()` call)
-    /// and records the wait, returning the guard.
+    /// Runs `acquire` (a closure performing the blocking `lock()` call),
+    /// records the acquisition and, unless detached, the time it waited,
+    /// and returns the guard.
     #[inline]
     pub fn acquire<G>(&self, acquire: impl FnOnce() -> G) -> G {
+        if !self.timed {
+            self.acquisitions.inc();
+            return acquire();
+        }
         let started = Instant::now();
         let guard = acquire();
         self.record(started.elapsed());

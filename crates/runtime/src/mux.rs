@@ -11,8 +11,8 @@
 //! replicas cost `R` sockets and one I/O thread, not `L × R` connections.
 //!
 //! Each [`MuxHandle`] is one gateway handler of §5.4: it owns a full
-//! `ConcurrentHandler` (its own sliding windows, failure detector, and
-//! selection strategy), plans lock-free on the caller's thread against
+//! real-time [`TimingFaultHandler`] (its own sliding windows, failure
+//! detector, and selection strategy), plans on the caller's thread against
 //! the handler's published snapshot, multicasts the request (encoded
 //! once, queued on every selected replica's outbound ring, flushed with
 //! vectored writes), and delivers the earliest reply. A handle may be
@@ -20,7 +20,9 @@
 //! waiter table keyed by sequence number. Replies observed by one handle
 //! are fanned to the others as passive perf updates — over a shared
 //! socket every handle sees every reply, which keeps all repositories
-//! warm without extra wire traffic.
+//! warm without extra wire traffic. A fanned reply only writes the
+//! handle's repository shard; its view republishes at the handle's next
+//! plan.
 //!
 //! Resilience: with `retry_after` set, a call whose first selection has
 //! not answered by then re-runs Algorithm 1 over the remaining replicas
@@ -47,7 +49,7 @@ use std::time::Instant as StdInstant;
 use aqua_core::qos::{QosSpec, ReplicaId};
 use aqua_core::repository::{MethodId, PerfReport};
 use aqua_core::time::{Duration, Instant};
-use aqua_gateway::{ConcurrentHandler, ReplyOutcome};
+use aqua_gateway::{ReplyOutcome, TimingFaultHandler};
 use aqua_strategies::SelectionStrategy;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Sender};
@@ -312,14 +314,14 @@ struct Waiter {
 /// One gateway handler and its waiter table: a handle's state, shared
 /// between its caller threads and the thread applying replies.
 pub(crate) struct HandleState {
-    pub(crate) handler: ConcurrentHandler,
+    pub(crate) handler: TimingFaultHandler,
     /// In-flight call attempts, sharded by handle-local seq:
     /// shard → seq → waiter.
     waiters: Vec<Mutex<HashMap<u64, Waiter>>>,
 }
 
 impl HandleState {
-    pub(crate) fn new(handler: ConcurrentHandler) -> HandleState {
+    pub(crate) fn new(handler: TimingFaultHandler) -> HandleState {
         HandleState {
             handler,
             waiters: (0..WAITER_SHARDS)
@@ -913,7 +915,7 @@ impl MuxPool {
         let hid = inner.next_handle.fetch_add(1, Ordering::Relaxed);
         assert!(hid < (1 << HANDLE_BITS), "handle id space exhausted");
         let config = &inner.config;
-        let mut handler = ConcurrentHandler::new(config.qos, config.window, strategy);
+        let mut handler = TimingFaultHandler::new(config.qos, config.window, strategy);
         if let Some(obs) = &config.obs {
             handler.attach_obs(obs, Some(config.id.wrapping_add(hid)));
         }
@@ -995,7 +997,7 @@ impl Drop for MuxHandle {
 impl MuxHandle {
     /// Runs `f` against this handle's handler (repository inspection,
     /// stats, …).
-    pub fn with_handler<R>(&self, f: impl FnOnce(&ConcurrentHandler) -> R) -> R {
+    pub fn with_handler<R>(&self, f: impl FnOnce(&TimingFaultHandler) -> R) -> R {
         f(&self.state.handler)
     }
 

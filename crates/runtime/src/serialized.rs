@@ -330,7 +330,7 @@ impl SerializedClient {
             if let Some(wire) = &wire {
                 wire.on_sent(&hello);
             }
-            handler.repository_mut().insert_replica(*id);
+            handler.insert_replica(Instant::EPOCH, *id);
             writers.insert(*id, writer);
             addrs.insert(*id, *addr);
             let tx = event_tx.clone();
@@ -382,7 +382,10 @@ impl SerializedClient {
 
     /// Renegotiates the QoS specification.
     pub fn renegotiate(&self, qos: QosSpec) {
-        self.inner.lock_state().handler.renegotiate(qos);
+        self.inner
+            .lock_state()
+            .handler
+            .renegotiate(self.inner.now(), qos);
     }
 
     /// Connects to an additional replica at runtime (a new member joining
@@ -403,7 +406,7 @@ impl SerializedClient {
         }
         {
             let mut state = self.inner.lock_state();
-            state.handler.repository_mut().insert_replica(id);
+            state.handler.insert_replica(self.inner.now(), id);
             state.writers.insert(id, writer);
             state.addrs.insert(id, addr);
         }

@@ -21,7 +21,7 @@ use std::time::Instant as StdInstant;
 use aqua_core::qos::ReplicaId;
 use aqua_core::repository::MethodId;
 use aqua_core::time::{Duration, Instant};
-use aqua_gateway::ConcurrentHandler;
+use aqua_gateway::TimingFaultHandler;
 use aqua_strategies::SelectionStrategy;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -324,7 +324,7 @@ impl ThreadedClient {
         config: MuxPoolConfig,
         strategy: Box<dyn SelectionStrategy>,
     ) -> io::Result<ThreadedClient> {
-        let mut handler = ConcurrentHandler::new(config.qos, config.window, strategy);
+        let mut handler = TimingFaultHandler::new(config.qos, config.window, strategy);
         if let Some(obs) = &config.obs {
             handler.attach_obs(obs, Some(config.id));
         }
@@ -357,7 +357,7 @@ impl ThreadedClient {
     }
 
     /// Runs `f` against the handler (repository inspection, stats, …).
-    pub fn with_handler<R>(&self, f: impl FnOnce(&ConcurrentHandler) -> R) -> R {
+    pub fn with_handler<R>(&self, f: impl FnOnce(&TimingFaultHandler) -> R) -> R {
         f(&self.inner.state.handler)
     }
 
