@@ -206,6 +206,9 @@ pub struct ClientGateway {
     shed_until: Option<Instant>,
     /// Arrivals suppressed by load shedding so far.
     shed_requests: u64,
+    /// Request copies (original, retry and probe multicasts) sent without
+    /// a reply yet.
+    unanswered: u64,
 }
 
 impl std::fmt::Debug for ClientGateway {
@@ -238,6 +241,7 @@ impl ClientGateway {
             alert_buffer: None,
             shed_until: None,
             shed_requests: 0,
+            unanswered: 0,
         }
     }
 
@@ -286,6 +290,12 @@ impl ClientGateway {
     /// Arrivals suppressed by an escalation's load-shed directive.
     pub fn shed_requests(&self) -> u64 {
         self.shed_requests
+    }
+
+    /// Request copies sent to replicas that have not replied yet. A copy
+    /// to a crashed or partitioned-away replica stays unanswered forever.
+    pub fn unanswered_copies(&self) -> u64 {
+        self.unanswered
     }
 
     fn started(&self) -> &TimingFaultHandler {
@@ -368,6 +378,7 @@ impl ClientGateway {
         }
 
         self.issued += 1;
+        self.unanswered += targets.len() as u64;
         let id = RequestId {
             client: ctx.self_id(),
             seq: plan.seq,
@@ -433,6 +444,7 @@ impl ClientGateway {
             self.started().on_abandon(now, plan.seq);
             return;
         }
+        self.unanswered += targets.len() as u64;
         ctx.multicast(
             &targets,
             GroupMsg::App(AquaMsg::Request {
@@ -522,6 +534,7 @@ impl ClientGateway {
                     self.started().on_give_up(now, plan.seq);
                     continue;
                 };
+                self.unanswered += 1;
                 ctx.send(
                     node,
                     GroupMsg::App(AquaMsg::Request {
@@ -590,6 +603,7 @@ impl ClientGateway {
                 perf,
                 payload_size: _,
             } => {
+                self.unanswered = self.unanswered.saturating_sub(1);
                 let now = ctx.now();
                 let outcome = self.started().on_reply(now, id.seq, replica, perf);
                 if let ReplyOutcome::Deliver {

@@ -41,7 +41,7 @@ use aqua_core::failure::{TimingFailureDetector, TimingVerdict};
 use aqua_core::model::{ModelConfig, ResponseTimeModel};
 use aqua_core::pmf::ConvScratch;
 use aqua_core::qos::{QosSpec, ReplicaId};
-use aqua_core::repository::{InfoRepository, MethodId, PerfReport};
+use aqua_core::repository::{InfoRepository, MethodId, PerfReport, ReplicaStats};
 use aqua_core::scheduler::ColdStartPolicy;
 use aqua_core::select::{select_replicas_tolerating, Candidate};
 use aqua_core::snapshot::{method_slot, PlanningView, ReplicaSnapshot, SnapshotCell};
@@ -383,6 +383,23 @@ impl TimingFaultHandler {
         merged
     }
 
+    /// Reads one value from every present replica's entry, in ascending
+    /// replica order, each under its own ingest-shard lock: no window is
+    /// copied. Replicas without an entry yet are skipped.
+    pub fn read_replicas<T>(
+        &self,
+        mut read: impl FnMut(&ReplicaStats) -> T,
+    ) -> Vec<(ReplicaId, T)> {
+        let present: Vec<ReplicaId> = self.membership.lock().present.iter().copied().collect();
+        present
+            .into_iter()
+            .filter_map(|id| {
+                let shard = self.ingest_shard(id).lock();
+                shard.stats(id).map(|stats| (id, read(stats)))
+            })
+            .collect()
+    }
+
     /// A point-in-time copy of the timing-failure detector.
     pub fn detector(&self) -> TimingFailureDetector {
         self.detector.lock().clone()
@@ -708,13 +725,9 @@ impl TimingFaultHandler {
     /// Replicas whose repository entry is older than `staleness` at `now`
     /// (or has no data at all) — the probe candidates.
     pub fn stale_replicas(&self, now: Instant, staleness: Duration) -> Vec<ReplicaId> {
-        self.repository()
-            .iter()
-            .filter(|(_, stats)| {
-                stats
-                    .last_update()
-                    .is_none_or(|at| now.saturating_duration_since(at) > staleness)
-            })
+        self.read_replicas(ReplicaStats::last_update)
+            .into_iter()
+            .filter(|(_, last)| last.is_none_or(|at| now.saturating_duration_since(at) > staleness))
             .map(|(id, _)| id)
             .collect()
     }

@@ -6,9 +6,10 @@
 //! whenever a member joins, leaves, or is suspected of having crashed.
 //! Clients learn about crashes from the view change and "remove the entry
 //! for the failed replicas from their local information repositories"
-//! (§5.4).
-
-use std::collections::HashMap;
+//! (§5.4). Suspicion is not final: a suspected server whose heartbeats
+//! resume (it was partitioned away or lost a run of heartbeats, not
+//! crashed) is readmitted in a fresh view, and clients treat it as a
+//! rejoin.
 
 use aqua_core::time::{Duration, Instant};
 use lan_sim::{Context, Event, Node, NodeId};
@@ -38,6 +39,18 @@ impl Default for FailureDetectorConfig {
     }
 }
 
+/// What the failure detector knows about one node.
+#[derive(Debug, Clone, Copy, Default)]
+enum Liveness {
+    /// Not a server member: heartbeats from it are ignored.
+    #[default]
+    Untracked,
+    /// A server member, last heard from at this instant.
+    Alive(Instant),
+    /// A server evicted on suspicion; its next heartbeat readmits it.
+    Suspected(Member),
+}
+
 /// The membership coordinator node.
 ///
 /// Generic over the application payload `A` so one simulation type
@@ -46,7 +59,9 @@ impl Default for FailureDetectorConfig {
 pub struct GroupCoordinator<A> {
     config: FailureDetectorConfig,
     view: View,
-    last_heartbeat: HashMap<NodeId, Instant>,
+    /// Failure-detector state indexed by [`NodeId::index`]: a heartbeat is
+    /// one bounds-checked store, not a hash-map insert.
+    liveness: Vec<Liveness>,
     views_installed: u64,
     _marker: core::marker::PhantomData<fn() -> A>,
 }
@@ -57,7 +72,7 @@ impl<A> GroupCoordinator<A> {
         GroupCoordinator {
             config,
             view: View::default(),
-            last_heartbeat: HashMap::new(),
+            liveness: Vec::new(),
             views_installed: 0,
             _marker: core::marker::PhantomData,
         }
@@ -71,6 +86,21 @@ impl<A> GroupCoordinator<A> {
     /// Total number of views installed (diagnostics).
     pub fn views_installed(&self) -> u64 {
         self.views_installed
+    }
+
+    fn liveness(&self, node: NodeId) -> Liveness {
+        self.liveness
+            .get(node.index() as usize)
+            .copied()
+            .unwrap_or_default()
+    }
+
+    fn set_liveness(&mut self, node: NodeId, state: Liveness) {
+        let idx = node.index() as usize;
+        if idx >= self.liveness.len() {
+            self.liveness.resize(idx + 1, Liveness::Untracked);
+        }
+        self.liveness[idx] = state;
     }
 }
 
@@ -88,20 +118,21 @@ where
     fn sweep_suspects(&mut self, ctx: &mut Context<'_, GroupMsg<A>>) {
         let now = ctx.now();
         let timeout = self.config.timeout;
-        let last = &self.last_heartbeat;
-        let suspects: Vec<NodeId> = self
+        let suspects: Vec<Member> = self
             .view
             .servers()
-            .map(|m| m.node)
-            .filter(|node| {
-                last.get(node)
-                    .is_none_or(|hb| now.saturating_duration_since(*hb) > timeout)
+            .filter(|m| match self.liveness(m.node) {
+                Liveness::Alive(hb) => now.saturating_duration_since(hb) > timeout,
+                Liveness::Untracked | Liveness::Suspected(_) => true,
             })
+            .copied()
             .collect();
         if !suspects.is_empty() {
-            self.view.members.retain(|m| !suspects.contains(&m.node));
-            for node in &suspects {
-                self.last_heartbeat.remove(node);
+            self.view
+                .members
+                .retain(|m| !suspects.iter().any(|s| s.node == m.node));
+            for member in suspects {
+                self.set_liveness(member.node, Liveness::Suspected(member));
             }
             self.install_view(ctx);
         }
@@ -127,7 +158,7 @@ where
                     if !self.view.contains(member.node) {
                         self.view.members.push(member);
                         if member.role == Role::Server {
-                            self.last_heartbeat.insert(member.node, ctx.now());
+                            self.set_liveness(member.node, Liveness::Alive(ctx.now()));
                         }
                         self.install_view(ctx);
                     }
@@ -135,13 +166,22 @@ where
                 GroupMsg::Leave { member } => {
                     if self.view.contains(member) {
                         self.view.members.retain(|m| m.node != member);
-                        self.last_heartbeat.remove(&member);
                         self.install_view(ctx);
                     }
+                    // A graceful leaver is gone for good, even if it was
+                    // suspected first: no late heartbeat readmits it.
+                    self.set_liveness(member, Liveness::Untracked);
                 }
-                GroupMsg::Heartbeat => {
-                    self.last_heartbeat.insert(from, ctx.now());
-                }
+                GroupMsg::Heartbeat => match self.liveness(from) {
+                    Liveness::Alive(_) => self.set_liveness(from, Liveness::Alive(ctx.now())),
+                    Liveness::Suspected(member) => {
+                        // Falsely suspected: it is alive after all.
+                        self.set_liveness(from, Liveness::Alive(ctx.now()));
+                        self.view.members.push(member);
+                        self.install_view(ctx);
+                    }
+                    Liveness::Untracked => {}
+                },
                 // Application traffic and view changes are not addressed to
                 // the coordinator.
                 GroupMsg::App(_) | GroupMsg::ViewChange(_) => {}

@@ -209,6 +209,104 @@ mod tests {
         assert!(last_view.contains(client));
     }
 
+    /// Zero-jitter 1 ms links, except that everything `node` sends during
+    /// `[from, until)` is lost (delivered a day late, past every run).
+    struct CutOff {
+        node: NodeId,
+        from: Instant,
+        until: Instant,
+    }
+
+    impl lan_sim::NetworkModel for CutOff {
+        fn delay(
+            &mut self,
+            from: NodeId,
+            _to: NodeId,
+            _size: usize,
+            _fanout: usize,
+            now: Instant,
+            _rng: &mut rand::rngs::SmallRng,
+        ) -> Duration {
+            if from == self.node && now >= self.from && now < self.until {
+                Duration::from_secs(86_400)
+            } else {
+                Duration::from_millis(1)
+            }
+        }
+    }
+
+    #[test]
+    fn partitioned_server_rejoins_after_heal() {
+        let cfg = FailureDetectorConfig::default();
+        // Ids follow add order: coordinator n0, server n1, client n2.
+        let server = NodeId::new(1);
+        let mut sim = Simulation::with_network(
+            5,
+            CutOff {
+                node: server,
+                from: Instant::from_millis(300),
+                until: Instant::from_millis(800),
+            },
+        );
+        let coord = sim.add_node(GroupCoordinator::<NoApp>::new(cfg));
+        assert_eq!(sim.add_node(TestMember::new(None)), server);
+        let client = sim.add_node(TestMember::new(None));
+        wire(
+            &mut sim,
+            server,
+            coord,
+            Member::server(server, ReplicaId::new(3)),
+            cfg,
+        );
+        wire(&mut sim, client, coord, Member::client(client), cfg);
+        let client_sees_server = |sim: &Simulation<GroupMsg<NoApp>>| {
+            let agent = sim.node::<TestMember>(client).unwrap().agent.as_ref();
+            agent.unwrap().view().contains(server)
+        };
+
+        sim.run_until(Instant::from_millis(250));
+        assert!(client_sees_server(&sim), "server joined before the cut");
+
+        sim.run_until(Instant::from_millis(790));
+        assert!(
+            !client_sees_server(&sim),
+            "silent for longer than the timeout: suspected and evicted"
+        );
+
+        sim.run_until(Instant::from_secs(3));
+        let coord_state = sim.node::<GroupCoordinator<NoApp>>(coord).unwrap();
+        assert!(
+            coord_state.view().contains(server),
+            "heartbeats resumed after the heal: readmitted"
+        );
+        assert!(client_sees_server(&sim), "the client saw the rejoin view");
+    }
+
+    #[test]
+    fn left_server_is_not_readmitted_by_a_late_heartbeat() {
+        let cfg = FailureDetectorConfig::default();
+        let mut sim = Simulation::new(3);
+        let coord = sim.add_node(GroupCoordinator::<NoApp>::new(cfg));
+        let a = sim.add_node(TestMember::new(None));
+        wire(
+            &mut sim,
+            a,
+            coord,
+            Member::server(a, ReplicaId::new(1)),
+            cfg,
+        );
+        sim.run_for(Duration::from_millis(100));
+        sim.schedule_message(sim.now(), a, coord, GroupMsg::Leave { member: a });
+        // The member's agent is still heartbeating (it never called
+        // `leave`), as a heartbeat in flight past the Leave would be.
+        sim.run_for(Duration::from_millis(500));
+        assert!(!sim
+            .node::<GroupCoordinator<NoApp>>(coord)
+            .unwrap()
+            .view()
+            .contains(a));
+    }
+
     #[test]
     fn graceful_leave_installs_new_view() {
         let cfg = FailureDetectorConfig::default();

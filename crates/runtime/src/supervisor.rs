@@ -4,7 +4,7 @@
 //! `DependabilityManager` runs — pure logic, shared verbatim — and this
 //! driver is the thin seam that feeds it from a live [`MuxHandle`]:
 //! replica-scoped calibration alerts arrive through the handle's
-//! watchdog hook, queue depths are sampled from the merged information
+//! watchdog hook, queue depths are sampled from the information
 //! repository's piggybacked `outstanding` counts, and the embedder calls
 //! [`SupervisorDriver::tick`] on its own cadence (a timer thread, the
 //! chaos harness's loop, …) and actuates the returned actions with the
@@ -57,13 +57,14 @@ impl SupervisorDriver {
     }
 
     /// Samples every replica's smoothed queue depth from the handle's
-    /// merged repository (the `outstanding` counts piggybacked on perf
-    /// reports). Call alongside [`tick`](SupervisorDriver::tick).
+    /// repository (the `outstanding` counts piggybacked on perf reports),
+    /// reading each replica's count under its own shard lock. Call
+    /// alongside [`tick`](SupervisorDriver::tick).
     pub fn sample_queues(&self, client: &MuxHandle) {
-        let repository = client.with_handler(|h| h.repository());
+        let depths = client.with_handler(|h| h.read_replicas(|stats| stats.outstanding()));
         let mut policy = self.policy.lock().expect("supervisor policy poisoned");
-        for (id, stats) in repository.iter() {
-            policy.on_queue_sample(id.index(), stats.outstanding());
+        for (id, depth) in depths {
+            policy.on_queue_sample(id.index(), depth);
         }
     }
 

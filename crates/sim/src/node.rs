@@ -7,7 +7,7 @@ use aqua_core::aqua;
 use aqua_core::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 
-use crate::event::{Event, Scheduled, TimerToken};
+use crate::event::{Event, EventQueue, TimerToken};
 use crate::network::NetworkModel;
 use crate::trace::{TraceEvent, Tracer};
 use crate::Payload;
@@ -141,7 +141,8 @@ impl BitSet {
 /// contexts it hands to nodes.
 pub(crate) struct SimCore<M> {
     pub now: Instant,
-    pub queue: std::collections::BinaryHeap<core::cmp::Reverse<Scheduled<M>>>,
+    /// Pending events, ties at one instant broken by scheduling sequence.
+    pub queue: EventQueue<u64, M>,
     pub seq: u64,
     pub next_timer: u64,
     /// Cancelled-timer flags, indexed by token value.
@@ -160,12 +161,7 @@ impl<M> SimCore<M> {
     pub(crate) fn push(&mut self, at: Instant, target: NodeId, event: Event<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(core::cmp::Reverse(Scheduled {
-            at,
-            seq,
-            target,
-            event,
-        }));
+        self.queue.push(at, seq, target, event);
     }
 
     /// Marks a node detached.

@@ -35,9 +35,7 @@
 //! every `W` — which is what the per-node digests and the merged-trace
 //! proptests check.
 
-use core::cmp::{Ordering, Reverse};
 use core::fmt;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Barrier, Mutex};
 
@@ -46,7 +44,7 @@ use aqua_core::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::event::{Event, TimerToken};
+use crate::event::{Event, EventQueue, Popped, TimerToken};
 use crate::node::{AnyNode, BitSet, Context, ContextCore, NodeId};
 use crate::topology::{GeoTopology, LinkFaultHook};
 use crate::trace::{NodeCounters, TraceEvent, TraceRecord, Tracer};
@@ -84,31 +82,16 @@ struct EventKey {
     seq: u64,
 }
 
-/// What sits in a shard's queue, ordered by `(at, origin, origin_seq)` —
-/// a total order independent of the shard layout.
+/// An event on its way to its target's shard (cross-shard sends wait in
+/// outboxes until the barrier). Shard queues order events by
+/// `(at, origin, origin_seq)` — a total order independent of the shard
+/// layout.
 #[derive(Debug)]
 struct ShardScheduled<M> {
     at: Instant,
     key: EventKey,
     target: NodeId,
     event: Event<M>,
-}
-
-impl<M> PartialEq for ShardScheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key
-    }
-}
-impl<M> Eq for ShardScheduled<M> {}
-impl<M> PartialOrd for ShardScheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for ShardScheduled<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.at.cmp(&other.at).then(self.key.cmp(&other.key))
-    }
 }
 
 /// A trace record tagged with the key of the event whose handler emitted
@@ -139,7 +122,7 @@ struct LocalNode<M> {
 /// One worker shard: its event queue, the nodes it owns, counters, and
 /// (when tracing) the tagged record log.
 struct Shard<M> {
-    queue: BinaryHeap<Reverse<ShardScheduled<M>>>,
+    queue: EventQueue<EventKey, M>,
     locals: Vec<LocalNode<M>>,
     tracer: Tracer,
     tagged: Vec<TaggedRecord>,
@@ -207,7 +190,9 @@ impl<M: Payload> ShardCore<'_, '_, M> {
     fn route(&mut self, item: ShardScheduled<M>) {
         let dest = self.shared.node_shard[item.target.index() as usize];
         if dest == self.my_shard {
-            self.shard.queue.push(Reverse(item));
+            self.shard
+                .queue
+                .push(item.at, item.key, item.target, item.event);
         } else {
             self.outbox[dest as usize].push(item);
         }
@@ -260,12 +245,12 @@ impl<M: Payload> ContextCore<M> for ShardCore<'_, '_, M> {
         local.next_seq += 1;
         local.digest = fnv_fold(local.digest, 0xA2);
         local.digest = fnv_fold(local.digest, at.as_nanos());
-        self.shard.queue.push(Reverse(ShardScheduled {
+        self.shard.queue.push(
             at,
-            key: EventKey { origin: from, seq },
-            target: from,
-            event: Event::Message { from, payload },
-        }));
+            EventKey { origin: from, seq },
+            from,
+            Event::Message { from, payload },
+        );
     }
 
     fn set_timer(&mut self, node: NodeId, after: Duration) -> TimerToken {
@@ -277,12 +262,12 @@ impl<M: Payload> ContextCore<M> for ShardCore<'_, '_, M> {
         local.next_seq += 1;
         local.digest = fnv_fold(local.digest, 0xA3);
         local.digest = fnv_fold(local.digest, at.as_nanos());
-        self.shard.queue.push(Reverse(ShardScheduled {
+        self.shard.queue.push(
             at,
-            key: EventKey { origin: node, seq },
-            target: node,
-            event: Event::Timer { token },
-        }));
+            EventKey { origin: node, seq },
+            node,
+            Event::Timer { token },
+        );
         token
     }
 
@@ -314,17 +299,18 @@ fn process_window<M: Payload>(
     outbox: &mut [Vec<ShardScheduled<M>>],
 ) {
     loop {
-        match shard.queue.peek() {
-            Some(Reverse(next)) if next.at.as_nanos() <= horizon => {}
-            _ => return,
-        }
-        let Some(Reverse(scheduled)) = shard.queue.pop() else {
+        let Some(Popped {
+            event,
+            at,
+            tie: key,
+            target,
+        }) = shard.queue.pop_until(Instant::from_nanos(horizon))
+        else {
             return;
         };
-        shard.now = shard.now.max(scheduled.at);
-        let target = scheduled.target;
+        shard.now = shard.now.max(at);
         let li = shared.node_local[target.index() as usize] as usize;
-        if let Event::Timer { token } = &scheduled.event {
+        if let Event::Timer { token } = &event {
             let slot = token.value() & 0xFFFF_FFFF;
             if shard.locals[li].cancelled.take(slot) {
                 continue;
@@ -334,7 +320,6 @@ fn process_window<M: Payload>(
             continue;
         }
 
-        let ShardScheduled { at, key, event, .. } = scheduled;
         {
             let local = &mut shard.locals[li];
             local.digest = fnv_fold(local.digest, at.as_nanos());
@@ -437,7 +422,7 @@ impl<M: Payload + Send> ShardedSimulation<M> {
             lookahead,
             shards: (0..effective)
                 .map(|_| Shard {
-                    queue: BinaryHeap::new(),
+                    queue: EventQueue::new(),
                     locals: Vec::new(),
                     tracer: Tracer::default(),
                     tagged: Vec::new(),
@@ -513,12 +498,9 @@ impl<M: Payload + Send> ShardedSimulation<M> {
             seq
         };
         let ts = self.node_shard[target.index() as usize] as usize;
-        self.shards[ts].queue.push(Reverse(ShardScheduled {
-            at,
-            key: EventKey { origin, seq },
-            target,
-            event,
-        }));
+        self.shards[ts]
+            .queue
+            .push(at, EventKey { origin, seq }, target, event);
     }
 
     /// Injects a message from `from` to `to` at absolute time `at`,
@@ -707,8 +689,8 @@ impl<M: Payload + Send> ShardedSimulation<M> {
         if n == 1 {
             let shard = &mut self.shards[0];
             let mut outbox: Vec<Vec<ShardScheduled<M>>> = vec![Vec::new()];
-            while let Some(Reverse(e)) = shard.queue.peek() {
-                let next = e.at.as_nanos();
+            while let Some(at) = shard.queue.next_at() {
+                let next = at.as_nanos();
                 if deadline_n.is_some_and(|d| next > d) {
                     break;
                 }
@@ -743,10 +725,7 @@ impl<M: Payload + Send> ShardedSimulation<M> {
                         (0..n).map(|_| Vec::new()).collect();
                     loop {
                         // 1. Publish my earliest pending event time.
-                        let next = shard
-                            .queue
-                            .peek()
-                            .map_or(u64::MAX, |Reverse(e)| e.at.as_nanos());
+                        let next = shard.queue.next_at().map_or(u64::MAX, Instant::as_nanos);
                         next_times[i].store(next, AtomicOrdering::Release);
                         let wait = barrier.wait();
                         // 2. Leader derives the round horizon
@@ -785,7 +764,7 @@ impl<M: Payload + Send> ShardedSimulation<M> {
                         barrier.wait();
                         let mut inbox = inboxes[i].lock().expect("inbox poisoned");
                         for item in inbox.drain(..) {
-                            shard.queue.push(Reverse(item));
+                            shard.queue.push(item.at, item.key, item.target, item.event);
                         }
                     }
                 });

@@ -1,15 +1,13 @@
 //! The simulation driver: event loop, node registry, determinism.
 
-use core::cmp::Reverse;
 use core::fmt;
-use std::collections::BinaryHeap;
 
 use aqua_core::aqua;
 use aqua_core::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::event::{Event, Scheduled};
+use crate::event::{Event, EventQueue, Popped};
 use crate::network::{InstantNetwork, NetworkModel};
 use crate::node::{AnyNode, BitSet, Context, NodeId, SimCore};
 use crate::trace::{NodeCounters, TraceEvent, TraceRecord};
@@ -73,14 +71,20 @@ impl<M: Payload> Simulation<M> {
 
     /// Creates a simulation over a specific network model.
     pub fn with_network<N: NetworkModel + 'static>(seed: u64, network: N) -> Self {
+        Simulation::with_boxed_network(seed, Box::new(network))
+    }
+
+    /// Creates a simulation over an already boxed network model (no second
+    /// virtual hop per message).
+    pub fn with_boxed_network(seed: u64, network: Box<dyn NetworkModel>) -> Self {
         Simulation {
             core: SimCore {
                 now: Instant::EPOCH,
-                queue: BinaryHeap::new(),
+                queue: EventQueue::new(),
                 seq: 0,
                 next_timer: 0,
                 cancelled: BitSet::default(),
-                network: Box::new(network),
+                network,
                 rng: SmallRng::seed_from_u64(seed),
                 detached: Vec::new(),
                 tracer: Default::default(),
@@ -275,37 +279,27 @@ impl<M: Payload> Simulation<M> {
     /// dense vector rather than a hash map.
     #[aqua::hot_path]
     fn step_bounded(&mut self, deadline: Option<Instant>) -> bool {
+        let limit = deadline.unwrap_or(Instant::from_nanos(u64::MAX));
         loop {
-            match self.core.queue.peek() {
-                None => return false,
-                Some(Reverse(next)) => {
-                    if let Some(deadline) = deadline {
-                        if next.at > deadline {
-                            return false;
-                        }
-                    }
-                }
-            }
-            let Some(Reverse(scheduled)) = self.core.queue.pop() else {
+            let Some(Popped {
+                event, at, target, ..
+            }) = self.core.queue.pop_until(limit)
+            else {
                 return false;
             };
-            debug_assert!(
-                scheduled.at >= self.core.now,
-                "time must not move backwards"
-            );
-            self.core.now = scheduled.at;
+            debug_assert!(at >= self.core.now, "time must not move backwards");
+            self.core.now = at;
 
             // Drop cancelled timers and deliveries to detached nodes.
-            if let Event::Timer { token } = &scheduled.event {
+            if let Event::Timer { token } = &event {
                 if self.core.cancelled.take(token.value()) {
                     continue;
                 }
             }
-            if self.core.is_detached(scheduled.target) {
+            if self.core.is_detached(target) {
                 continue;
             }
 
-            let Scheduled { target, event, .. } = scheduled;
             match &event {
                 Event::Started => self
                     .core

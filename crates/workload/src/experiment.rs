@@ -98,6 +98,27 @@ impl ExperimentReport {
     pub fn client_under_test(&self) -> &ClientReport {
         self.clients.last().expect("at least one client configured")
     }
+
+    /// An FNV-1a fingerprint of every client's request history, in config
+    /// then issue order: per record its seq, send time, redundancy,
+    /// response time (`u64::MAX` when unanswered) and the timely/callback
+    /// flags. Two runs with equal digests produced the same records.
+    pub fn digest(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut word = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for record in self.clients.iter().flat_map(|c| &c.records) {
+            word(record.seq);
+            word(record.sent_at.as_nanos());
+            word(record.redundancy as u64);
+            word(record.response_time.map_or(u64::MAX, Duration::as_nanos));
+            word(u64::from(record.timely) | u64::from(record.callback) << 1);
+        }
+        h
+    }
 }
 
 /// Builds and runs an experiment to completion (all clients finished or the
@@ -137,17 +158,18 @@ pub fn run_experiment_observed(
 ) -> ExperimentReport {
     let schedule = config.faults.instantiate(config.seed);
     let mut sim: Simulation<Wire> = {
-        let network = config.network.build();
-        // Simulation::with_network takes the model by value; box-dyn via a
-        // small adapter below. Network-scoped faults (delay spikes, drops,
-        // partitions) wrap the model; replica-scoped faults are applied by
-        // each server gateway from its own copy of the schedule.
-        let faulty = FaultyNetwork {
-            inner: BoxedNetwork(network),
-            schedule: schedule.clone(),
-            replica_nodes: config.servers.len() + config.standby_servers.len(),
-        };
-        Simulation::with_network(config.seed, faulty)
+        // Network-scoped faults (delay spikes, drops, partitions) wrap the
+        // model; replica-scoped faults are applied by each server gateway
+        // from its own copy of the schedule.
+        let mut network = config.network.build();
+        if !schedule.is_empty() {
+            network = Box::new(FaultyNetwork {
+                inner: network,
+                schedule: schedule.clone(),
+                replica_nodes: config.servers.len() + config.standby_servers.len(),
+            });
+        }
+        Simulation::with_boxed_network(config.seed, network)
     };
     if obs.is_some() {
         sim.enable_trace(4096);
@@ -234,21 +256,27 @@ pub fn run_experiment_observed(
         client_nodes.push(sim.add_node(gateway));
     }
 
-    // Run in slices until every client reports finished (or time is up).
+    // Run in short slices until every client reports finished (or time is
+    // up), then only while request copies still await replies: once the
+    // last one lands nothing but heartbeats is left to simulate. A copy to
+    // a crashed or partitioned-away replica never replies, so such runs
+    // drain up to the bound: DRAIN past the whole second in which the
+    // clients finished (rounded so the bound does not depend on SLICE).
+    const SLICE: Duration = Duration::from_millis(100);
+    const DRAIN: Duration = Duration::from_secs(8);
     let deadline = Instant::EPOCH + config.max_virtual_time;
     loop {
-        let slice_end = (sim.now() + Duration::from_secs(1)).min(deadline);
-        sim.run_until(slice_end);
-        let all_done = client_nodes.iter().all(|n| {
-            sim.node::<ClientGateway>(*n)
-                .is_some_and(|c| c.is_finished())
-        });
-        if all_done || sim.now() >= deadline {
+        sim.run_until((sim.now() + SLICE).min(deadline));
+        if gateways(&sim, &client_nodes).all(ClientGateway::is_finished) || sim.now() >= deadline {
             break;
         }
     }
-    // Let in-flight replies land so records are complete.
-    sim.run_until(sim.now() + Duration::from_secs(8));
+    let whole_second = Instant::from_secs(sim.now().as_nanos().div_ceil(1_000_000_000));
+    let drain_end = whole_second.min(deadline) + DRAIN;
+    while sim.now() < drain_end && gateways(&sim, &client_nodes).any(|c| c.unanswered_copies() > 0)
+    {
+        sim.run_until((sim.now() + SLICE).min(drain_end));
+    }
 
     if let Some(obs) = obs {
         for node in &client_nodes {
@@ -296,21 +324,12 @@ pub fn run_experiment_observed(
     }
 }
 
-/// Adapter: a boxed network model as a `NetworkModel`.
-struct BoxedNetwork(Box<dyn lan_sim::NetworkModel>);
-
-impl lan_sim::NetworkModel for BoxedNetwork {
-    fn delay(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        size: usize,
-        fanout: usize,
-        now: Instant,
-        rng: &mut rand::rngs::SmallRng,
-    ) -> Duration {
-        self.0.delay(from, to, size, fanout, now, rng)
-    }
+/// The client gateways at `nodes`.
+fn gateways<'a>(
+    sim: &'a Simulation<Wire>,
+    nodes: &'a [NodeId],
+) -> impl Iterator<Item = &'a ClientGateway> + 'a {
+    nodes.iter().filter_map(|n| sim.node::<ClientGateway>(*n))
 }
 
 /// A delay that outlives any experiment's virtual-time budget: how the
@@ -322,7 +341,7 @@ const DROPPED: Duration = Duration::from_secs(86_400);
 /// faults: delay spikes scale and pad the base delay, and drop/one-way
 /// partition faults turn the message into a [`DROPPED`] straggler.
 struct FaultyNetwork {
-    inner: BoxedNetwork,
+    inner: Box<dyn lan_sim::NetworkModel>,
     schedule: FaultSchedule,
     /// Number of replica-hosting nodes. Node 0 is the group coordinator and
     /// nodes `1..=replica_nodes` host replica `node - 1` (servers then
@@ -350,9 +369,6 @@ impl lan_sim::NetworkModel for FaultyNetwork {
         rng: &mut rand::rngs::SmallRng,
     ) -> Duration {
         let base = self.inner.delay(from, to, size, fanout, now, rng);
-        if self.schedule.is_empty() {
-            return base;
-        }
         let (from, to) = (self.replica_of(from), self.replica_of(to));
         if self.schedule.should_drop(from, to, now) {
             return DROPPED;
